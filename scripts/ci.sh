@@ -144,8 +144,8 @@ for b in build/bench/*; do
   fi
 done
 build/tools/radiocast_inspect validate "$smoke_dir"/BENCH_*.json
-# The throughput bench carries the frontier-engine speedup gate (the bench
-# itself RC_CHECKs frontier > reference and bit-identical results); make
+# The throughput bench carries the soa-engine speedup gate (the bench
+# itself RC_CHECKs soa > reference and bit-identical results); make
 # its artifact's presence and schema an explicit CI requirement rather
 # than a side effect of the wildcard above.
 if [ ! -f "$smoke_dir"/BENCH_simulator_throughput.json ]; then
@@ -203,13 +203,12 @@ build/tools/radiocast_inspect diff \
 # baselines. Deterministic keys (steps, steps.mean, timeout_rate) gate
 # exactly; wall-clock-derived ratios get an extra-wide tolerance here
 # because smoke-mode runs (≤2 trials) are noisy on shared CI hosts — the
-# throughput bench separately RC_CHECKs frontier > reference, so a real
+# throughput bench separately RC_CHECKs soa > reference, so a real
 # engine regression still fails stage 5.
 build/tools/radiocast_inspect regress \
   bench/baselines/BENCH_simulator_throughput.json \
   "$smoke_dir"/BENCH_simulator_throughput.json \
-  --tolerance speedup=75 --tolerance soa_speedup=75 \
-  --tolerance off_over_on=75 --tolerance det_soa_speedup=75
+  --tolerance speedup=75 --tolerance off_over_on=75
 build/tools/radiocast_inspect regress \
   bench/baselines/BENCH_fault_resilience.json \
   "$smoke_dir"/BENCH_fault_resilience.json

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <optional>
 
 #include "adversary/jamming.h"
@@ -12,13 +13,13 @@ namespace radiocast {
 
 namespace {
 
-/// The whole construction state: protocol instances for every label plus
+/// The whole construction state: the protocol's nodes for every label plus
 /// the partially built topology.
 class builder {
  public:
   builder(const protocol& proto, node_id n, int d,
           const adversary_options& options)
-      : proto_(proto), n_(n), d_(d), options_(options) {
+      : n_(n), d_(d), options_(options) {
     RC_REQUIRE_MSG(proto.deterministic(),
                    "the lower-bound adversary needs a deterministic protocol");
     RC_REQUIRE_MSG(d >= 4 && d % 2 == 0, "need even D ≥ 4");
@@ -27,10 +28,7 @@ class builder {
     if (k_ % 2 == 1) --k_;  // the paper assumes even k
     RC_REQUIRE_MSG(k_ >= 4, "need n ≥ 16·D so that k = ⌊n/4D⌋ ≥ 4");
 
-    params_.r = n - 1;
-    params_.d_hint = -1;
-
-    nodes_.resize(static_cast<std::size_t>(n));
+    nodes_ = proto.bind(n - 1)->make_table(n);
     gens_.reserve(static_cast<std::size_t>(n));
     informed_.assign(static_cast<std::size_t>(n), false);
     tx_stamp_.assign(static_cast<std::size_t>(n), -1);
@@ -40,7 +38,6 @@ class builder {
     for (node_id v = 0; v < n; ++v) {
       gens_.emplace_back(std::uint64_t{0x5eed0000} +
                          static_cast<std::uint64_t>(v));
-      nodes_[static_cast<std::size_t>(v)] = proto.make_node(v, params_);
     }
     informed_[0] = true;  // the source
 
@@ -115,11 +112,12 @@ class builder {
   /// waiting for; returns true the step it transmits.
   bool do_step(int spine, jamming* jam) {
     // Phase 1: decisions of every informed node.
+    nodes_->begin_step(step_);
     transmitters_.clear();
     for (node_id v = 0; v < n_; ++v) {
       if (!informed_[static_cast<std::size_t>(v)]) continue;
       node_context ctx{step_, &gens_[static_cast<std::size_t>(v)]};
-      auto decision = nodes_[static_cast<std::size_t>(v)]->on_step(ctx);
+      auto decision = nodes_->on_step(v, ctx);
       if (!decision) continue;
       decision->from = v;
       tx_stamp_[static_cast<std::size_t>(v)] = step_;
@@ -240,8 +238,7 @@ class builder {
     RC_CHECK_MSG(transmitted(sender),
                  "delivery from a node that did not transmit this step");
     node_context ctx{step_, &gens_[static_cast<std::size_t>(to)]};
-    nodes_[static_cast<std::size_t>(to)]->on_receive(
-        ctx, tx_msg_[static_cast<std::size_t>(sender)]);
+    nodes_->on_receive(to, ctx, tx_msg_[static_cast<std::size_t>(sender)]);
     informed_[static_cast<std::size_t>(to)] = true;
   }
 
@@ -305,7 +302,7 @@ class builder {
     for (node_id c : pool_) {
       if (chosen[static_cast<std::size_t>(c)]) continue;
       next_pool.push_back(c);
-      nodes_[static_cast<std::size_t>(c)] = proto_.make_node(c, params_);
+      nodes_->reset(c);
       gens_[static_cast<std::size_t>(c)] =
           rng(std::uint64_t{0x5eed0000} + static_cast<std::uint64_t>(c));
       informed_[static_cast<std::size_t>(c)] = false;
@@ -350,16 +347,14 @@ class builder {
     return g;
   }
 
-  const protocol& proto_;
   node_id n_;
   int d_;
   adversary_options options_;
   int spine_count_ = 0;
   int k_ = 0;
   std::int64_t jam_steps_ = 0;
-  protocol_params params_;
 
-  std::vector<std::unique_ptr<protocol_node>> nodes_;
+  std::unique_ptr<node_table> nodes_;
   std::vector<rng> gens_;
   std::vector<bool> informed_;
   std::vector<std::int64_t> tx_stamp_;

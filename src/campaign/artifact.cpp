@@ -235,8 +235,8 @@ std::optional<shard_artifact> read_shard_file(const std::string& path,
 }
 
 bool is_wall_clock_key(const std::string& key) {
-  // Any "*speedup" ratio (speedup, soa_speedup, det_soa_speedup, …) is
-  // derived from same-process wall-clock pairs, like off_over_on.
+  // Any "*speedup" ratio is derived from same-process wall-clock pairs,
+  // like off_over_on.
   if (key.size() >= 7 &&
       key.compare(key.size() - 7, 7, "speedup") == 0) {
     return true;

@@ -8,8 +8,8 @@ namespace radiocast::campaign {
 namespace {
 
 bool higher_better_key(const std::string& key) {
-  // Every "*speedup" ratio (speedup, soa_speedup, det_soa_speedup, the
-  // per-protocol legs) is a wall-clock-derived higher-is-better value.
+  // Every "*speedup" ratio is a wall-clock-derived higher-is-better
+  // value.
   if (key.size() >= 7 &&
       key.compare(key.size() - 7, 7, "speedup") == 0) {
     return true;

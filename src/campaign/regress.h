@@ -19,7 +19,7 @@
 // from same-process measurements are, and those get the wide tolerance.
 // Per-key overrides (the CLI's `--tolerance key=pct`) replace the default;
 // keys are matched by the label shown in the report ("steps.mean",
-// "timeout_rate", or the bare values key like "steps_per_sec_frontier").
+// "timeout_rate", or the bare values key like "steps_per_sec_soa").
 //
 // A case present in the baseline but missing from the fresh artifact is a
 // regression (a silently dropped case must not pass the gate); a NEW case

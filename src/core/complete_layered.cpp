@@ -2,7 +2,6 @@
 
 #include <optional>
 
-#include "core/echo.h"
 #include "core/echo_soa.h"
 #include "sim/soa_engine.h"
 
@@ -21,145 +20,11 @@ constexpr message_kind kStopAll = 8;     // terminal stop (k = D reached)
 
 constexpr selection_kinds kKinds{kOrder, kReply};
 
-class cl_node final : public protocol_node {
- public:
-  cl_node(node_id label, const protocol_params& params)
-      : label_(label), r_(params.r) {
-    if (label_ == 0) {
-      informed_ = true;
-      layer_ = 0;
-    }
-  }
-
-  std::optional<message> on_step(const node_context& ctx) override {
-    std::optional<message> out;
-    if (label_ == 0 && ctx.step == 0) {
-      awaiting_presence_ = true;
-      out = message{kAnnounce, 0, 0, 0, 0, 0};
-    } else if (auto due = pending_.take(ctx.step)) {
-      out = due;
-    } else if (head_ && ctx.step >= drive_start_) {
-      out = drive(ctx.step);
-    }
-    if (out) out->d = layer_;  // every message carries the sender's layer
-    return out;
-  }
-
-  void on_receive(const node_context& ctx, const message& msg) override {
-    if (!informed_) {
-      informed_ = true;
-      layer_ = static_cast<int>(msg.d) + 1;  // first contact fixes the layer
-    }
-    switch (msg.kind) {
-      case kAnnounce:
-        pending_.schedule(ctx.step + 2 * static_cast<std::int64_t>(label_),
-                          message{kPresence, label_, 0, 0, 0, 0});
-        break;
-      case kPresence:
-        if (label_ == 0 && awaiting_presence_) {
-          awaiting_presence_ = false;
-          pending_.schedule(ctx.step + 1,
-                            message{kStopSelect, 0, msg.from, 0, 0, 0});
-        }
-        break;
-      case kStopSelect:
-        pending_.clear();  // cancel outstanding presence reservations
-        if (static_cast<node_id>(msg.a) == label_) {
-          become_head(msg.from, ctx.step + 1);
-        }
-        break;
-      case kSelect:
-        if (static_cast<node_id>(msg.a) == label_) {
-          // Start after the selector's stop-layer step.
-          become_head(msg.from, ctx.step + 2);
-        }
-        break;
-      case kOrder:
-        if (head_) break;  // a head never answers another head's order
-        schedule_echo_replies(
-            pending_, kKinds, msg, ctx.step, label_,
-            /*is_member=*/layer_ == static_cast<int>(msg.d) + 1);
-        break;
-      case kReply:
-        if (head_ && driver_) driver_->on_receive(msg);
-        break;
-      case kStopLayer:
-        if (layer_ == static_cast<int>(msg.b)) halted_ = true;
-        break;
-      case kStopAll:
-        halted_ = true;
-        break;
-      default:
-        break;
-    }
-  }
-
-  bool informed() const override { return informed_; }
-  bool halted() const override { return halted_; }
-
-  void on_restart(const node_context&) override {
-    // Amnesia reboot: re-derive the constructed state (the source knows
-    // its layer a priori; everyone else relearns it on first contact).
-    informed_ = (label_ == 0);
-    layer_ = (label_ == 0) ? 0 : -1;
-    halted_ = false;
-    head_ = false;
-    awaiting_presence_ = false;
-    helper_ = -1;
-    drive_start_ = 0;
-    pending_.clear();
-    driver_.reset();
-  }
-
- private:
-  void become_head(node_id previous_head, std::int64_t start) {
-    head_ = true;
-    helper_ = previous_head;
-    drive_start_ = start;
-    pending_.clear();
-    driver_.emplace(kKinds, helper_, r_);
-  }
-
-  std::optional<message> drive(std::int64_t step) {
-    std::optional<message> out = driver_->on_step(step);
-    if (!driver_->finished()) return out;
-    head_ = false;
-    if (driver_->result() == selection_driver::status::selected) {
-      const node_id next = driver_->selected();
-      driver_.reset();
-      // Select now; order L_{k−1} to stop one step later.
-      pending_.schedule(step + 1,
-                        message{kStopLayer, label_, 0, layer_ - 1, 0, 0});
-      return message{kSelect, label_, next, 0, 0, 0};
-    }
-    // No next layer: k = D. Stop the neighbors and ourselves.
-    driver_.reset();
-    halted_ = true;
-    return message{kStopAll, label_, 0, 0, 0, 0};
-  }
-
-  node_id label_;
-  node_id r_;
-  bool informed_ = false;
-  bool halted_ = false;
-  bool head_ = false;
-  bool awaiting_presence_ = false;
-  int layer_ = -1;
-  node_id helper_ = -1;
-  std::int64_t drive_start_ = 0;
-  pending_tx pending_;
-  std::optional<selection_driver> driver_;
-};
-
-// SoA mirror of cl_node (sim/soa_engine.h traits). pending_tx and
-// selection_driver are replaced by their POD mirrors (core/echo_soa.h);
-// every hook must stay behaviorally identical to the virtual node above —
-// the three-way differential suite and the chaos engine-bit-identity
-// invariant hold the pair together. The chain head's selection driver
-// never carries a metrics registry (become_head above never calls
-// set_metrics), so every sel_* call passes nullptr.
+// Complete-Layered's traits (sim/soa_engine.h). The chain head's selection
+// (core/echo_soa.h) records no metrics, so every sel_* call passes
+// nullptr.
 struct cl_soa_traits {
-  node_id r_bound = 1;  // shared config: the label bound r, set by the entry
+  node_id r_bound = 1;  // shared config: the label bound r, set by bind
 
   struct state {
     node_id label = -1;
@@ -174,7 +39,7 @@ struct cl_soa_traits {
     bool awaiting_presence = false;
   };
 
-  void init(state* s, node_id label, const protocol_params&) const {
+  void init(state* s, node_id label) const {
     *s = state{};
     s->label = label;
     if (label == 0) {
@@ -211,9 +76,8 @@ struct cl_soa_traits {
       case kPresence:
         if (s->label == 0 && s->awaiting_presence) {
           s->awaiting_presence = false;
-          // The virtual node re-reads msg.from only from the scheduled
-          // message; the source's helper slot is dead otherwise, so it
-          // stashes v₁'s label for the kStopSelect reconstruction.
+          // The source's helper slot is otherwise unused, so it stashes
+          // v₁'s label for the kStopSelect reconstruction.
           s->helper = msg.from;
           s->pending.schedule_structural(ctx.step + 1, kStopSelect);
         }
@@ -253,9 +117,9 @@ struct cl_soa_traits {
   bool informed(const state& s) const { return s.informed; }
   bool halted(const state& s) const { return s.halted; }
 
-  void on_restart(state* s, const node_context&) const {
-    init(s, s->label, protocol_params{});
-  }
+  // Amnesia reboot: back to the init state (the source knows its layer a
+  // priori; everyone else relearns it on first contact).
+  void on_restart(state* s, const node_context&) const { init(s, s->label); }
 
  private:
   void become_head(state* s, node_id previous_head, std::int64_t start) const {
@@ -266,8 +130,8 @@ struct cl_soa_traits {
     sel_init(&s->sel, r_bound);
   }
 
-  // Mirror of pending_tx::take + the original schedule sites: reconstructs
-  // the due message from the structural kind and the node's state.
+  // The message scheduled for `step`, if any: reconstructed from the
+  // structural kind and the node's state.
   std::optional<message> take_pending(state* s, std::int64_t step) const {
     switch (s->pending.take(step)) {
       case 1:
@@ -293,7 +157,7 @@ struct cl_soa_traits {
     if (!sel_finished(s->sel)) return out;
     s->head = false;
     if (sel_selected(s->sel)) {
-      const node_id next = s->sel.heard1;
+      const node_id next = sel_selected_label(s->sel);
       // Select now; order L_{k−1} to stop one step later.
       s->pending.schedule_structural(step + 1, kStopLayer);
       return message{kSelect, s->label, next, 0, 0, 0};
@@ -304,22 +168,13 @@ struct cl_soa_traits {
   }
 };
 
-run_result cl_soa_entry(const graph& g, const protocol&, node_id r,
-                        const run_options& opts) {
-  cl_soa_traits traits;
-  traits.r_bound = r;
-  return run_broadcast_soa(g, traits, r, opts);
-}
-
 }  // namespace
 
-std::unique_ptr<protocol_node> complete_layered_protocol::make_node(
-    node_id label, const protocol_params& params) const {
-  return std::make_unique<cl_node>(label, params);
-}
-
-soa_entry complete_layered_protocol::soa_runner() const {
-  return &cl_soa_entry;
+std::unique_ptr<const bound_protocol> complete_layered_protocol::bind(
+    node_id r) const {
+  cl_soa_traits traits;
+  traits.r_bound = r;
+  return bind_traits(traits, r);
 }
 
 }  // namespace radiocast

@@ -32,11 +32,7 @@ class complete_layered_protocol final : public protocol {
 
   std::string name() const override { return "complete-layered"; }
   bool deterministic() const override { return true; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override;
-  /// Struct-of-arrays step form (step_engine::soa): POD per-node state,
-  /// decisions and metrics writes bit-identical to the virtual node.
-  soa_entry soa_runner() const override;
+  std::unique_ptr<const bound_protocol> bind(node_id r) const override;
 };
 
 }  // namespace radiocast

@@ -20,11 +20,7 @@ class decay_protocol final : public protocol {
 
   std::string name() const override { return "bgi-decay"; }
   bool deterministic() const override { return false; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override;
-  /// Struct-of-arrays step form (step_engine::soa): POD per-node state,
-  /// decisions and RNG draws bit-identical to the virtual node.
-  soa_entry soa_runner() const override;
+  std::unique_ptr<const bound_protocol> bind(node_id r) const override;
 };
 
 }  // namespace radiocast

@@ -19,6 +19,9 @@
 // exactly the price of not knowing one's neighbors.
 #pragma once
 
+#include <cstddef>
+#include <vector>
+
 #include "graph/graph.h"
 #include "sim/protocol.h"
 
@@ -27,17 +30,19 @@ namespace radiocast {
 class dfs_known_protocol final : public protocol {
  public:
   /// The protocol hands each node its own adjacency list from `g` — the
-  /// known-neighborhood assumption. `g` must outlive the protocol and any
-  /// runs (the simulator's topology must be the same graph).
+  /// known-neighborhood assumption. The lists are copied at construction;
+  /// runs must use the same topology.
   explicit dfs_known_protocol(const graph& g);
 
   std::string name() const override { return "dfs-known-neighbors"; }
   bool deterministic() const override { return true; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override;
+  std::unique_ptr<const bound_protocol> bind(node_id r) const override;
 
  private:
-  const graph& g_;
+  /// Every node's neighbor labels, sorted, in CSR form: node v's list is
+  /// adj_[row_[v] … row_[v+1]).
+  std::vector<std::size_t> row_;
+  std::vector<node_id> adj_;
 };
 
 }  // namespace radiocast

@@ -1,35 +1,46 @@
-// POD mirrors of the echo subprotocol state (core/echo.h) for the SoA step
-// engine (sim/soa_engine.h): a compact future-transmission window replacing
-// pending_tx, and a flat selection_driver replacing the heap-held state
-// machine. Every function here must stay BEHAVIORALLY IDENTICAL to its
-// virtual counterpart — same emissions, same metrics writes — the three-way
-// differential suite and the chaos engine-bit-identity invariant hold the
-// pairs together.
+// Procedure Echo and Algorithm Binary-Selection (paper, Section 4.1), as
+// flat POD state for protocol traits (sim/soa_engine.h).
 //
-// WHY THE COMPACT PENDING QUEUE IS SAFE (pending_tx holds arbitrary
-// entries; soa_pending holds one structural slot + an 8-bit reply window):
+// Echo(w, A) lets a node v that knows one neighbor w ∉ A distinguish
+// |A| ∈ {0, 1, ≥2} in two steps — simulating collision detection, which the
+// radio model does not provide:
+//   step 1: every node in A transmits its label;
+//   step 2: every node in A ∪ {w} transmits its label.
+// v hears step 1 only ⇒ |A| = 1 (and learns the unique label);
+// v hears step 2 only ⇒ |A| = 0; v hears neither ⇒ |A| ≥ 2.
+//
+// Binary-Selection finds one element of a nonempty set S of neighbors in
+// O(log m) three-step segments (order, echo-1, echo-2), descending ranges:
+// on |R ∩ S| = 0 move to the next half-size segment, on ≥ 2 take the left
+// half, on = 1 select.
+//
+// `soa_selection` + the sel_* functions implement the initiator side of the
+// full pipeline the deterministic algorithms use: a whole-set probe, then
+// doubling probes over [1, 2ᵏ], then Binary-Selection. The responder side
+// (scheduling the two echo replies upon receiving an order) is
+// soa_schedule_echo_replies, and `soa_pending` is the per-node queue of
+// future transmissions.
+//
+// WHY ONE STRUCTURAL SLOT AND AN 8-BIT REPLY WINDOW SUFFICE:
 //
 //   * Structural entries (presence reservations, stop/token notices,
-//     stop-layer orders) are provably exclusive: a node schedules its
-//     presence reply at most once per run (there is exactly one source
-//     announcement), the source's stop notice is guarded by
-//     awaiting_presence, and a head's stop-layer order is scheduled only
-//     after become_head cleared the queue — so at most ONE structural
-//     entry is ever live, and it always precedes any reply entry in the
-//     virtual queue's insertion order (replies need a prior echo order).
-//     take()'s structural-first tie-break therefore matches pending_tx's
-//     scan-first-exact-match order.
+//     stop-layer orders) are exclusive: a node schedules its presence reply
+//     at most once per run (there is exactly one source announcement), the
+//     source's stop notice is guarded by awaiting_presence, and a head's
+//     stop-layer order is scheduled only after become_head cleared the
+//     queue — so at most ONE structural entry is ever live, and it always
+//     precedes any reply entry in scheduling order (replies need a prior
+//     echo order). take() therefore fires the structural entry first when
+//     both fall on one step.
 //   * Echo replies from one node are CONTENT-IDENTICAL ({reply_kind,
 //     self}), so a step's reply only needs a presence bit, not a payload.
 //     The radio model delivers at most one order per step, so replies land
 //     at most 2 steps ahead — the 8-bit window never overflows — and
-//     duplicate same-step replies collapse into one bit, exactly matching
-//     pending_tx, where take() fires the first match once and strands the
-//     duplicate forever.
-//   * Stale entries (a reservation whose step passed while the node was
-//     crashed, or a reply shadowed by a same-step structural entry) never
-//     fire in pending_tx — take() demands exact step equality. soa_pending
-//     purges them instead of carrying them; the emissions are identical.
+//     duplicate same-step replies collapse into one bit: a node transmits
+//     once per step.
+//   * An entry fires only at exactly its step. Stale entries (a reservation
+//     whose step passed while the node was crashed, or a reply shadowed by
+//     a same-step structural entry) never fire, and take() purges them.
 //
 // Step fields are 32-bit to fit the engine's 64-byte state budget: the
 // furthest schedule is step + 2·label + 2, so runs stay exact through
@@ -40,12 +51,20 @@
 #include <cstdint>
 #include <optional>
 
-#include "core/echo.h"
 #include "obs/metrics.h"
 #include "sim/message.h"
 #include "util/assert.h"
 
 namespace radiocast {
+
+/// Message kinds the selection subprotocol uses, chosen by the owning
+/// protocol so kind spaces never collide.
+/// Order message layout: a = range lo, b = range hi, c = helper label.
+/// Reply message layout: the transmitter's label rides in `from`.
+struct selection_kinds {
+  message_kind order = 0;
+  message_kind reply = 0;
+};
 
 /// Future-transmission window (12 bytes): one structural entry (kind +
 /// step) plus an 8-bit reply window anchored at reply_base (bit k set ⇔ a
@@ -92,8 +111,7 @@ struct soa_pending {
 
   /// What fires at `step`: 0 = nothing, 1 = the structural entry (caller
   /// reconstructs the message from one_kind + its own state), 2 = a reply.
-  /// Purges entries whose step has passed (they can never fire — exactly
-  /// pending_tx's exact-step-match semantics).
+  /// Purges entries whose step has passed (they can never fire).
   int take(std::int64_t step) {
     const auto s = static_cast<std::int32_t>(step);
     if (reply_mask != 0 && reply_base < s) {
@@ -116,8 +134,11 @@ struct soa_pending {
   }
 };
 
-/// Responder-side mirror of schedule_echo_replies (core/echo.cpp): same
-/// membership decision, replies recorded as window bits.
+/// Responder side: given an order received at `step` by a node with label
+/// `self`, schedules the Echo replies it owes.
+/// * A member of the probed set A (the caller decides membership) replies in
+///   both echo steps (A transmits in step 1, A ∪ {w} in step 2).
+/// * The helper w replies in the second echo step only.
 inline void soa_schedule_echo_replies(soa_pending* out,
                                       const selection_kinds& kinds,
                                       const message& order, std::int64_t step,
@@ -134,13 +155,24 @@ inline void soa_schedule_echo_replies(soa_pending* out,
   }
 }
 
-/// Flat selection_driver state (24 bytes). The selected responder label is
-/// heard1 once status == selected (the driver copies *heard1_ into
-/// selected_; here they are the same slot). recoveries are not counted in
-/// state — only the metrics side effect exists, emitted at recover time.
+/// Initiator-side selection state (24 bytes): probes the responder set S
+/// (whose members are this node's neighbors) and either selects exactly one
+/// of them or reports S = ∅, in O(log label_bound) echo segments. The
+/// selected responder label is heard1 once status == selected
+/// (sel_selected_label).
+///
+/// A reply pattern that is impossible on a reliable channel (both echo
+/// steps heard, a non-helper lone step-2 reply, or a range walk past the
+/// label bound) restarts the probe from the full probe, counted under the
+/// `echo.recoveries` metric. It never happens in the fault-free model;
+/// under fault injection (src/fault/) dropped replies can produce such
+/// patterns, and restarting keeps the selection correct at the price of
+/// extra segments. Faults only erase deliveries, so a heard reply is always
+/// genuine — errors can only bias an echo toward the "≥2" outcome, never
+/// toward a false "unique" or false "empty".
 struct soa_selection {
   node_id lo = 0, hi = 0;
-  node_id heard1 = -1, heard2 = -1;  ///< −1 mirrors an empty optional
+  node_id heard1 = -1, heard2 = -1;  ///< −1 = nothing heard
   std::int32_t segments = 0;
   std::uint8_t status = 0;      ///< 0 running, 1 empty_set, 2 selected
   std::uint8_t phase = 0;       ///< 0 full_probe, 1 doubling, 2 binary
@@ -179,7 +211,7 @@ inline void sel_note_segment(soa_selection* s,
   }
 }
 
-// Mirror of selection_driver::advance — every branch, in order.
+// Moves the probe on after one echo segment's outcome.
 inline void sel_advance(soa_selection* s, int outcome, node_id bound,
                         obs::metrics_registry* metrics) {
   switch (s->phase) {
@@ -251,7 +283,7 @@ inline void sel_advance(soa_selection* s, int outcome, node_id bound,
 
 }  // namespace soa_echo_detail
 
-/// Mirror of the selection_driver constructor.
+/// Starts a selection over responder labels 1 … bound (≥ 1).
 inline void sel_init(soa_selection* s, node_id bound) {
   RC_REQUIRE(bound >= 1);
   *s = soa_selection{};
@@ -259,7 +291,10 @@ inline void sel_init(soa_selection* s, node_id bound) {
   s->hi = bound;
 }
 
-/// Mirror of selection_driver::on_step.
+/// Advances one step: the order to transmit, or nullopt when listening
+/// (or when just finished — check sel_finished). `metrics`, when non-null,
+/// counts issued segments per phase under
+/// `echo.segments{full_probe|doubling|binary}`.
 inline std::optional<message> sel_on_step(soa_selection* s,
                                           const selection_kinds& kinds,
                                           node_id helper, node_id bound,
@@ -280,8 +315,8 @@ inline std::optional<message> sel_on_step(soa_selection* s,
       s->sub = kEvaluate;
       return std::nullopt;
     default: {
-      // Impossible-reply patterns restart the probe; see the virtual
-      // driver for the reliability argument.
+      // Impossible-reply patterns restart the probe; see soa_selection
+      // for the reliability argument.
       if (s->heard1 != -1 && s->heard2 == -1) {
         sel_advance(s, kOutcomeUnique, bound, metrics);
       } else if (s->heard1 == -1 && s->heard2 != -1 && s->heard2 == helper) {
@@ -302,7 +337,7 @@ inline std::optional<message> sel_on_step(soa_selection* s,
   }
 }
 
-/// Mirror of selection_driver::on_receive.
+/// Feed every message the owning node receives while the selection runs.
 inline void sel_on_receive(soa_selection* s, const selection_kinds& kinds,
                            const message& msg) {
   using namespace soa_echo_detail;
@@ -321,6 +356,12 @@ inline bool sel_finished(const soa_selection& s) {
 
 inline bool sel_selected(const soa_selection& s) {
   return s.status == soa_echo_detail::kSelected;
+}
+
+/// The selected responder label; only valid once sel_selected(s).
+inline node_id sel_selected_label(const soa_selection& s) {
+  RC_REQUIRE(sel_selected(s));
+  return s.heard1;
 }
 
 }  // namespace radiocast

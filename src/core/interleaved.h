@@ -21,11 +21,7 @@ class interleaved_protocol final : public protocol {
 
   std::string name() const override { return "interleaved(rr+sas)"; }
   bool deterministic() const override { return true; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override;
-  /// Struct-of-arrays step form (step_engine::soa): POD per-node state,
-  /// decisions and metrics writes bit-identical to the virtual node.
-  soa_entry soa_runner() const override;
+  std::unique_ptr<const bound_protocol> bind(node_id r) const override;
 };
 
 }  // namespace radiocast

@@ -62,21 +62,15 @@ class kp_randomized_protocol final : public protocol {
 
   std::string name() const override;
   bool deterministic() const override { return false; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override;
-  /// Struct-of-arrays step form (step_engine::soa). In the BGI-fallback
-  /// regime this returns Decay's entry, mirroring make_node exactly.
-  soa_entry soa_runner() const override;
+  /// In the BGI-fallback regime this binds Decay's traits.
+  std::unique_ptr<const bound_protocol> bind(node_id r) const override;
 
   /// Total schedule period (the wrapper repeats with this period).
   std::int64_t schedule_period() const;
 
-  struct schedule;  ///< implementation detail, public for the node type
+  struct schedule;  ///< implementation detail, public for the traits
 
  private:
-  static run_result soa_entry_fn(const graph& g, const protocol& proto,
-                                 node_id r, const run_options& opts);
-
   node_id r_;
   kp_options options_;
   std::shared_ptr<const schedule> schedule_;

@@ -17,11 +17,7 @@ class round_robin_protocol final : public protocol {
 
   std::string name() const override { return "round-robin"; }
   bool deterministic() const override { return true; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override;
-  /// Struct-of-arrays step form (step_engine::soa) — deterministic, so the
-  /// mirror is trivial: label + informed flag.
-  soa_entry soa_runner() const override;
+  std::unique_ptr<const bound_protocol> bind(node_id r) const override;
 };
 
 }  // namespace radiocast

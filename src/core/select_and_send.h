@@ -3,15 +3,15 @@
 // Deterministic O(n log n) broadcasting on arbitrary undirected networks:
 // a token performs a DFS traversal; at each visited node the next unvisited
 // neighbor is found with Procedure Echo and Algorithm Binary-Selection
-// (core/echo.h). The initial move out of the source reserves time slot 2i
-// for the potential neighbor with label i and picks the first responder.
+// (core/echo_soa.h). The initial move out of the source reserves time slot
+// 2i for the potential neighbor with label i and picks the first responder.
 //
 // Roles a node can play over its lifetime:
 //   * source: announces, collects the first presence reply, hands the token
 //     to the lowest-labeled neighbor j, and uses j as its Echo helper;
-//   * driver (token holder): runs a selection_driver; on success passes the
-//     token forward, on an empty neighbor set returns it to its parent and
-//     stops;
+//   * driver (token holder): runs the selection state machine (sel_* in
+//     core/echo_soa.h); on success passes the token forward, on an empty
+//     neighbor set returns it to its parent and stops;
 //   * responder: any node replies to echo orders while unvisited, and
 //     replies as the helper in echo step 2 whenever an order names it —
 //     even after it stopped (the helper reply is part of the *caller's*
@@ -32,11 +32,7 @@ class select_and_send_protocol final : public protocol {
 
   std::string name() const override { return "select-and-send"; }
   bool deterministic() const override { return true; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override;
-  /// Struct-of-arrays step form (step_engine::soa): POD per-node state,
-  /// decisions and metrics writes bit-identical to the virtual node.
-  soa_entry soa_runner() const override;
+  std::unique_ptr<const bound_protocol> bind(node_id r) const override;
 };
 
 }  // namespace radiocast

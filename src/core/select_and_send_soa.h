@@ -1,14 +1,8 @@
-// POD mirror of the Select-and-Send node (core/select_and_send.cpp) for the
-// SoA step engine, shared between two traits: select_and_send's own SoA
-// form and the interleaved(rr+sas) form, which runs this exact state
-// machine on its odd-step subsequence (with a null metrics registry,
-// matching the virtual wrapper's sub-context). The message kinds live here
-// so the virtual node and the SoA mirror cannot drift apart.
-//
-// Every function must stay BEHAVIORALLY IDENTICAL to sas_node — same
-// emissions, same metrics writes, in the same order. The three-way
-// differential suite and the chaos engine-bit-identity invariant enforce
-// the pairing.
+// The Select-and-Send node state machine (core/select_and_send.h) as flat
+// POD state plus free functions, shared between two traits:
+// select_and_send's own and the interleaved(rr+sas) protocol's, which runs
+// this exact state machine on its odd-step subsequence with a null metrics
+// registry.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +14,7 @@
 
 namespace radiocast::sas_proto {
 
-// Message kinds (see core/echo.h for the order/reply payload layout).
+// Message kinds (see core/echo_soa.h for the order/reply payload layout).
 constexpr message_kind kAnnounce = 1;   // source's step-0 announcement
 constexpr message_kind kPresence = 2;   // neighbor i replies in step 2i
 constexpr message_kind kStopToken = 3;  // a = label receiving the token
@@ -30,8 +24,7 @@ constexpr message_kind kToken = 6;      // a = label receiving the token
 
 constexpr selection_kinds kKinds{kOrder, kReply};
 
-/// Flat per-node Select-and-Send state (56 bytes): the sas_node members
-/// with pending_tx/selection_driver replaced by their POD mirrors.
+/// Flat per-node Select-and-Send state (56 bytes).
 struct sas_soa_state {
   node_id label = -1;
   node_id parent = -1;
@@ -54,10 +47,13 @@ inline void sas_soa_init(sas_soa_state* s, node_id label) {
   }
 }
 
-/// Mirror of sas_node::on_restart: back to the constructed state.
+/// Amnesia restart: back to the init state. Every member but the label is
+/// volatile DFS state — a rebooted token holder orphans the traversal, and
+/// the run may stall, which is exactly the brittleness the resilience
+/// bench measures.
 inline void sas_soa_restart(sas_soa_state* s) { sas_soa_init(s, s->label); }
 
-/// Mirror of sas_node::take_token.
+/// The token arrives at this node (a forward pass or a child's return).
 inline void sas_soa_take_token(sas_soa_state* s, node_id from, node_id r,
                                obs::metrics_registry* metrics) {
   if (!s->visited) {
@@ -79,9 +75,9 @@ inline void sas_soa_take_token(sas_soa_state* s, node_id from, node_id r,
   sel_init(&s->sel, r);
 }
 
-/// Mirror of pending_tx::take + the original schedule sites: reconstructs
-/// the due message from the structural kind and the node's state (the
-/// contents are pure functions of both — see echo_soa.h).
+/// The message scheduled for `step`, if any: reconstructed from the
+/// structural kind and the node's state (the contents are pure functions
+/// of both — see echo_soa.h).
 inline std::optional<message> sas_soa_take_pending(sas_soa_state* s,
                                                    std::int64_t step) {
   switch (s->pending.take(step)) {
@@ -99,7 +95,8 @@ inline std::optional<message> sas_soa_take_pending(sas_soa_state* s,
   }
 }
 
-/// Mirror of sas_node::drive.
+/// One step of the token holder's selection; on completion passes the
+/// token forward, or returns it to the parent and halts.
 inline std::optional<message> sas_soa_drive(sas_soa_state* s,
                                             std::int64_t step, node_id r,
                                             obs::metrics_registry* metrics) {
@@ -114,7 +111,7 @@ inline std::optional<message> sas_soa_drive(sas_soa_state* s,
   }
   if (sel_selected(s->sel)) {
     // Pass the token forward; we resume when it comes back.
-    const node_id next = s->sel.heard1;
+    const node_id next = sel_selected_label(s->sel);
     if (metrics != nullptr) {
       metrics->get_counter("sas.selections").add();
     }
@@ -129,7 +126,7 @@ inline std::optional<message> sas_soa_drive(sas_soa_state* s,
   return message{kToken, s->label, s->parent, 0, 0};
 }
 
-/// Mirror of sas_node::on_step.
+/// The node's action at `step`.
 inline std::optional<message> sas_soa_on_step(sas_soa_state* s,
                                               std::int64_t step, node_id r,
                                               obs::metrics_registry* metrics) {
@@ -145,7 +142,7 @@ inline std::optional<message> sas_soa_on_step(sas_soa_state* s,
   return std::nullopt;
 }
 
-/// Mirror of sas_node::on_receive.
+/// Delivery of `msg` at `step`.
 inline void sas_soa_on_receive(sas_soa_state* s, std::int64_t step, node_id r,
                                obs::metrics_registry* metrics,
                                const message& msg) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/soa_engine.h"
 #include "util/assert.h"
 #include "util/math.h"
 
@@ -11,45 +12,50 @@ namespace {
 
 constexpr message_kind kSelectivePayload = 1;
 
-class selective_node final : public protocol_node {
- public:
-  selective_node(node_id label, std::shared_ptr<const set_family> family)
-      : label_(label), family_(std::move(family)), informed_(label == 0) {
-    // Precompute this node's transmission slots within one pass.
-    for (std::size_t i = 0; i < family_->size(); ++i) {
-      const auto& set = (*family_)[i];
-      if (std::binary_search(set.begin(), set.end(),
-                             static_cast<int>(label_))) {
-        slots_.push_back(i);
-      }
-    }
+// The selective-family protocol's traits (sim/soa_engine.h). The family
+// — one sorted label list per slot of the pass — is shared configuration
+// on the traits object; begin_step picks the step's set once, and on_step
+// is a membership test of the node's label in it.
+struct selective_soa_traits {
+  std::shared_ptr<const set_family> family;  // shared config, set by bind
+
+  // Per-step cache (begin_step hoist): F_{step mod |F|}.
+  const std::vector<int>* step_set = nullptr;
+
+  struct state {
+    node_id label = 0;
+    bool informed = false;
+  };
+
+  void begin_step(std::int64_t step) {
+    step_set = &(*family)[static_cast<std::size_t>(
+        step % static_cast<std::int64_t>(family->size()))];
   }
 
-  std::optional<message> on_step(const node_context& ctx) override {
-    if (!informed_) return std::nullopt;
-    const auto pos = static_cast<std::size_t>(
-        ctx.step % static_cast<std::int64_t>(family_->size()));
-    if (std::binary_search(slots_.begin(), slots_.end(), pos)) {
-      return message{kSelectivePayload, label_, 0, 0, 0, 0};
+  void init(state* s, node_id label) const {
+    s->label = label;
+    s->informed = (label == 0);
+  }
+
+  std::optional<message> on_step(state* s, const node_context&) const {
+    if (!s->informed) return std::nullopt;
+    if (std::binary_search(step_set->begin(), step_set->end(),
+                           static_cast<int>(s->label))) {
+      return message{kSelectivePayload, s->label, 0, 0, 0, 0};
     }
     return std::nullopt;
   }
 
-  void on_receive(const node_context&, const message&) override {
-    informed_ = true;
+  void on_receive(state* s, const node_context&, const message&) const {
+    s->informed = true;
   }
 
-  bool informed() const override { return informed_; }
+  bool informed(const state& s) const { return s.informed; }
+  bool halted(const state&) const { return false; }
 
-  void on_restart(const node_context&) override {
-    informed_ = (label_ == 0);  // family_/slots_ are configuration
+  void on_restart(state* s, const node_context&) const {
+    s->informed = (s->label == 0);  // the family is configuration
   }
-
- private:
-  node_id label_;
-  std::shared_ptr<const set_family> family_;
-  bool informed_;
-  std::vector<std::size_t> slots_;
 };
 
 }  // namespace
@@ -77,11 +83,13 @@ std::int64_t selective_broadcast_protocol::family_size() const {
   return static_cast<std::int64_t>(family_->size());
 }
 
-std::unique_ptr<protocol_node> selective_broadcast_protocol::make_node(
-    node_id label, const protocol_params& params) const {
-  RC_REQUIRE_MSG(params.r <= r_,
+std::unique_ptr<const bound_protocol> selective_broadcast_protocol::bind(
+    node_id r) const {
+  RC_REQUIRE_MSG(r <= r_,
                  "protocol built for a smaller label bound than the run's");
-  return std::make_unique<selective_node>(label, family_);
+  selective_soa_traits traits;
+  traits.family = family_;
+  return bind_traits(traits, r);
 }
 
 }  // namespace radiocast

@@ -37,8 +37,7 @@ class selective_broadcast_protocol final : public protocol {
 
   std::string name() const override;
   bool deterministic() const override { return true; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params& params) const override;
+  std::unique_ptr<const bound_protocol> bind(node_id r) const override;
 
   /// Length of one pass over the family.
   std::int64_t family_size() const;

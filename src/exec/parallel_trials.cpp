@@ -110,7 +110,8 @@ trial_set parallel_run_trials(const graph& g, const protocol& proto,
   {
     exec::thread_pool pool(workers);
     for (shard& s : shards) {
-      pool.submit([&g, &proto, &opts, &s, &mu, &shard_done, &first_error] {
+      pool.submit([&g, &proto, &opts, &s, &mu, &shard_done, &first_error,
+                   workers] {
         try {
           if (opts.hooks.on_start) opts.hooks.on_start(s.info(opts.base_seed));
           trial_options topts;
@@ -126,7 +127,10 @@ trial_set parallel_run_trials(const graph& g, const protocol& proto,
           topts.faults = s.faults.get();
           topts.engine = opts.engine;
           topts.verify_sleepers = opts.verify_sleepers;
-          topts.step_threads = opts.step_threads;
+          // With several trial workers, the RADIOCAST_THREADS default must
+          // not also give every trial its own step pool on top of them.
+          topts.step_threads =
+              opts.step_threads == 0 && workers > 1 ? 1 : opts.step_threads;
           topts.step_shard_grain = opts.step_shard_grain;
           s.result = run_trials(g, proto, topts);
           const std::lock_guard<std::mutex> lock(mu);

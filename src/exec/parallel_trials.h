@@ -43,7 +43,10 @@ namespace radiocast {
 /// structure, in which case the sharded path runs even on one worker (and
 /// still produces bit-identical records). With opts.faults set, the model
 /// must support clone() (all built-in models do); a non-cloneable model is
-/// a checked error.
+/// a checked error. With more than one worker, opts.step_threads == 0
+/// runs each trial's steps serially rather than at the RADIOCAST_THREADS
+/// default, so no worker nests a step pool inside the trial pool; an
+/// explicit step_threads is honored.
 trial_set parallel_run_trials(const graph& g, const protocol& proto,
                               const trial_options& opts);
 

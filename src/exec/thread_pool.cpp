@@ -1,11 +1,16 @@
 #include "exec/thread_pool.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <string>
 
 #include "util/assert.h"
 
 namespace radiocast::exec {
+
+namespace {
+std::atomic<std::int64_t> g_threads_spawned{0};
+}  // namespace
 
 int hardware_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -30,12 +35,15 @@ int resolve_threads(int requested) {
   return requested > 0 ? requested : env_threads();
 }
 
+std::int64_t threads_spawned() { return g_threads_spawned.load(); }
+
 thread_pool::thread_pool(int threads) {
   RC_REQUIRE(threads >= 1);
   workers_.reserve(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
+  g_threads_spawned += threads;
 }
 
 thread_pool::~thread_pool() {

@@ -19,6 +19,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -40,6 +41,10 @@ int env_threads();
 /// `requested` == 0 defers to env_threads(). Negative counts are a
 /// precondition violation. The result is always ≥ 1.
 int resolve_threads(int requested);
+
+/// Worker threads spawned by every thread_pool in this process so far —
+/// lets tests count the pools a code path builds.
+std::int64_t threads_spawned();
 
 /// Fixed-size worker pool. Construction spawns the workers; destruction
 /// drains the queue and joins them.

@@ -5,10 +5,10 @@
 //     counting over the replayed crash/down state) and a fresh clone of the
 //     fault model (begin_run + begin_step per step reproduces the fault
 //     schedule; see the header on why that is sound);
-//   * check_scenario — runs every engine (frontier, reference, and the
-//     intra-step-sharded soa engine when the protocol has an SoA form,
-//     plus the fault-free twin for zero-intensity scenarios), feeds each
-//     trace through the oracle, and demands byte-identity across engines;
+//   * check_scenario — runs both engines (the intra-step-sharded soa
+//     engine and the reference oracle, plus the fault-free twin for
+//     zero-intensity scenarios), feeds each trace through the oracle, and
+//     demands byte-identity across engines;
 //   * run_chaos — the seeded sampler: graph family × protocol × stacked
 //     fault models × step cap, with greedy minimization of failures.
 #include "fault/chaos.h"
@@ -1013,61 +1013,43 @@ scenario_check_result check_scenario(const graph& g, const protocol& proto,
   scenario_check_result out;
   checker chk(&out);
 
+  // The soa engine with intra-step sharding forced on (soa defaults: 2
+  // threads, grain 1), so the ordered phase merge participates in the
+  // bit-identity contract on every sampled scenario, not just at benchmark
+  // scale; then the reference oracle.
   run_options opts;
   opts.max_steps = max_steps;
   opts.seed = seed;
   opts.faults = model;
-  trace tf;
-  opts.sink = &tf;
-  opts.engine = step_engine::frontier;
-  const run_result rf = run_broadcast(g, proto, opts);
+  opts.step_threads = soa.step_threads;
+  opts.step_shard_grain = soa.step_shard_grain;
+  opts.debug_unordered_merge = soa.debug_unordered_merge;
+  trace ts;
+  opts.sink = &ts;
+  const run_result rs = run_broadcast(g, proto, opts);
   trace tr;
   opts.sink = &tr;
   opts.engine = step_engine::reference;
   const run_result rr = run_broadcast(g, proto, opts);
 
-  chk.set_prefix("frontier: ");
-  verify_one_engine(g, model, seed, max_steps, tf.events(), rf, &chk);
+  chk.set_prefix("soa: ");
+  verify_one_engine(g, model, seed, max_steps, ts.events(), rs, &chk);
   chk.set_prefix("reference: ");
   verify_one_engine(g, model, seed, max_steps, tr.events(), rr, &chk);
   chk.set_prefix("engines: ");
-  compare_results(rf, rr, chaos_invariant::engine_bit_identity, &chk);
-  compare_traces(tf, tr, chaos_invariant::engine_bit_identity, &chk);
-
-  if (proto.soa_runner() != nullptr) {
-    // Third leg: the struct-of-arrays engine with intra-step sharding
-    // forced on (soa defaults: 2 threads, grain 1), so the ordered phase
-    // merge participates in the bit-identity contract on every sampled
-    // scenario, not just at benchmark scale.
-    run_options sopts;
-    sopts.max_steps = max_steps;
-    sopts.seed = seed;
-    sopts.faults = model;
-    trace ts;
-    sopts.sink = &ts;
-    sopts.engine = step_engine::soa;
-    sopts.step_threads = soa.step_threads;
-    sopts.step_shard_grain = soa.step_shard_grain;
-    sopts.debug_unordered_merge = soa.debug_unordered_merge;
-    const run_result rs = run_broadcast(g, proto, sopts);
-    chk.set_prefix("soa: ");
-    verify_one_engine(g, model, seed, max_steps, ts.events(), rs, &chk);
-    chk.set_prefix("engines(soa): ");
-    compare_results(rs, rr, chaos_invariant::engine_bit_identity, &chk);
-    compare_traces(ts, tr, chaos_invariant::engine_bit_identity, &chk);
-  }
+  compare_results(rs, rr, chaos_invariant::engine_bit_identity, &chk);
+  compare_traces(ts, tr, chaos_invariant::engine_bit_identity, &chk);
 
   if (zero_intensity && model != nullptr) {
-    run_options zopts;
-    zopts.max_steps = max_steps;
-    zopts.seed = seed;
+    run_options zopts = opts;
+    zopts.faults = nullptr;
+    zopts.engine = step_engine::soa;
     trace tz;
     zopts.sink = &tz;
-    zopts.engine = step_engine::frontier;
     const run_result rz = run_broadcast(g, proto, zopts);
     chk.set_prefix("zero-intensity: ");
-    compare_results(rf, rz, chaos_invariant::zero_intensity_identity, &chk);
-    compare_traces(tf, tz, chaos_invariant::zero_intensity_identity, &chk);
+    compare_results(rs, rz, chaos_invariant::zero_intensity_identity, &chk);
+    compare_traces(ts, tz, chaos_invariant::zero_intensity_identity, &chk);
   }
   return out;
 }

@@ -3,7 +3,7 @@
 //
 // The fault subsystem's correctness story rests on contracts — exactly-one
 // -transmitter delivery, no spontaneous transmissions, faults only ever
-// ERASE deliveries, frontier/reference bit-identity, zero-intensity models
+// ERASE deliveries, soa/reference bit-identity, zero-intensity models
 // are perfect no-ops. Each contract has targeted tests; the chaos harness
 // is the complementary sweep that samples random COMPOSITIONS (random
 // graph family × protocol × stacked fault models × step cap) and checks
@@ -20,10 +20,9 @@
 //   * informed events must be monotone modulo amnesia evictions;
 //   * run_result counters must equal the trace's event totals, and the
 //     outcome classification must match a reachability recomputation;
-//   * the frontier and reference engines must agree byte-for-byte (trial
-//     fields, informed_at, per-node energy, trace NDJSON) — and when the
-//     protocol has a struct-of-arrays step form, the intra-step-sharded
-//     soa engine joins the same comparison;
+//   * the intra-step-sharded soa engine and the reference engine must
+//     agree byte-for-byte (trial fields, informed_at, per-node energy,
+//     trace NDJSON);
 //   * a zero-intensity composition must be bit-identical to the fault-free
 //     run.
 //
@@ -59,7 +58,7 @@ enum class chaos_invariant {
   fault_schedule_replay,        ///< trace fault events == model replay
   fault_accounting,             ///< result counters == trace event totals
   completion_semantics,         ///< completed/outcome match final state
-  engine_bit_identity,          ///< frontier ≡ reference, byte-for-byte
+  engine_bit_identity,          ///< soa ≡ reference, byte-for-byte
   zero_intensity_identity,      ///< zero-intensity model ≡ fault-free run
 };
 inline constexpr int kChaosInvariantCount = 10;
@@ -85,7 +84,7 @@ struct scenario_check_result {
   bool ok() const;
 };
 
-/// Knobs for the SoA leg of check_scenario. Defaults force intra-step
+/// Knobs for the soa run of check_scenario. Defaults force intra-step
 /// sharding even on the tiny sampled graphs (2 threads, grain 1) so the
 /// ordered phase merge is genuinely exercised; `debug_unordered_merge` is
 /// test instrumentation that sabotages the merge order, letting tests
@@ -97,13 +96,12 @@ struct soa_check_options {
 };
 
 /// Runs `proto` on `g` with node 0 as source under `model` (nullable ⇒
-/// fault-free), once per engine with full traces, and checks every
-/// invariant. When the protocol has an SoA step form (soa_runner() non
-/// null) a third, intra-step-sharded soa run joins the bit-identity
-/// comparison under `soa`'s knobs. `seed` seeds every run;
-/// `zero_intensity` additionally runs the fault-free twin and demands
-/// bit-identity. Requires identity labeling (the trace oracle equates
-/// message labels with node ids).
+/// fault-free), once per engine with full traces — the soa engine under
+/// `soa`'s knobs, then the reference engine — and checks every invariant.
+/// `seed` seeds every run; `zero_intensity` additionally runs the
+/// fault-free twin (soa, same knobs) and demands bit-identity. Requires
+/// identity labeling (the trace oracle equates message labels with node
+/// ids).
 scenario_check_result check_scenario(const graph& g, const protocol& proto,
                                      fault_model* model, std::uint64_t seed,
                                      std::int64_t max_steps,

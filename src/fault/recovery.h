@@ -10,7 +10,7 @@
 //     node rejoins the frontier; completion accounting simply un-exempts
 //     it.
 //   * amnesia — the reboot lost all volatile state: the simulator calls
-//     protocol_node::on_restart (sim/protocol.h), evicts the node from the
+//     protocol's on_restart hook (sim/protocol.h), evicts the node from the
 //     informed/awake sets, and the node must be re-informed by a fresh
 //     delivery before it participates again.
 //

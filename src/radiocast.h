@@ -12,7 +12,7 @@
 #include "core/complete_layered.h"        // IWYU pragma: export
 #include "core/decay.h"                   // IWYU pragma: export
 #include "core/dfs_known.h"               // IWYU pragma: export
-#include "core/echo.h"                    // IWYU pragma: export
+#include "core/echo_soa.h"                // IWYU pragma: export
 #include "core/interleaved.h"             // IWYU pragma: export
 #include "core/kp_randomized.h"           // IWYU pragma: export
 #include "core/round_robin.h"             // IWYU pragma: export

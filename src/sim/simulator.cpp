@@ -2,76 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 #include <vector>
 
 #include "obs/span.h"
-#include "sim/engine_core.h"
 #include "util/assert.h"
 
 namespace radiocast {
-
-namespace {
-
-/// The virtual-dispatch engines (frontier + reference): per-node state is a
-/// heap protocol_node object and every protocol hook is a virtual call.
-/// Everything else — setup, fault sites, reception resolution, metrics,
-/// completion — is the shared core in sim/engine_core.h, which is exactly
-/// what lets the differential suite compare this pair against the SoA
-/// engine (sim/soa_engine.h): the engines can only disagree in the parts
-/// that actually differ.
-class virtual_run final : public detail::run_base<virtual_run> {
-  using base = detail::run_base<virtual_run>;
-  friend base;
-
- public:
-  virtual_run(const graph& g, const protocol& proto, node_id r,
-              const run_options& opts, obs::span_profiler* profiler)
-      : base(g, r, opts), proto_(proto) {
-    finish_setup(profiler);
-  }
-
-  using base::run;
-
- private:
-  void init_nodes(const protocol_params& params) {
-    nodes_.resize(static_cast<std::size_t>(n_));
-    for (node_id v = 0; v < n_; ++v) {
-      nodes_[idx(v)] = proto_.make_node(labels_[idx(v)], params);
-      RC_CHECK(nodes_[idx(v)] != nullptr);
-    }
-  }
-
-  // radiocast-analyze: hot-path-begin -- per-node dispatch, called once
-  // per awake node per step.
-
-  std::optional<message> proto_step(node_id v, const node_context& ctx) {
-    return nodes_[idx(v)]->on_step(ctx);
-  }
-  void proto_receive(node_id v, const node_context& ctx, const message& m) {
-    nodes_[idx(v)]->on_receive(ctx, m);
-  }
-  bool proto_informed(node_id v) { return nodes_[idx(v)]->informed(); }
-  bool proto_halted(node_id v) { return nodes_[idx(v)]->halted(); }
-  void proto_restart(node_id v, const node_context& ctx) {
-    nodes_[idx(v)]->on_restart(ctx);
-  }
-
-  void run_engine() {
-    if (opts_.engine == step_engine::frontier) {
-      run_frontier();
-    } else {
-      run_reference();
-    }
-  }
-
-  // radiocast-analyze: hot-path-end
-
-  const protocol& proto_;
-  std::vector<std::unique_ptr<protocol_node>> nodes_;
-};
-
-}  // namespace
 
 const char* run_outcome_name(run_outcome o) {
   switch (o) {
@@ -88,19 +24,9 @@ run_result run_broadcast_with_r(const graph& g, const protocol& proto,
   obs::span_profiler* profiler =
       opts.profiler != nullptr ? opts.profiler : obs::global_profiler();
   obs::scoped_span run_span(profiler, "run_broadcast");
-  if (opts.engine == step_engine::soa) {
-    // One virtual call per RUN: resolve the protocol's templated SoA entry
-    // and jump into it — the step loop behind it has no virtual dispatch.
-    const soa_entry entry = proto.soa_runner();
-    RC_REQUIRE_MSG(entry != nullptr,
-                   "protocol '" + proto.name() +
-                       "' has no SoA step form (protocol::soa_runner "
-                       "returned null); use step_engine::frontier");
-    return entry(g, proto, r, opts);
-  }
-  virtual_run run(g, proto, r, opts, profiler);
-  obs::scoped_span loop_span(profiler, "step_loop");
-  return run.run();
+  // One virtual call per RUN: bind the protocol's traits to r and jump into
+  // the step loop instantiated for them, which has no virtual dispatch.
+  return proto.bind(r)->run(g, opts);
 }
 
 run_result run_broadcast(const graph& g, const protocol& proto,

@@ -284,7 +284,7 @@ struct good_soa_traits {
     node_id label = -1;
     bool informed = false;
   };
-  void init(state* s, node_id label, const protocol_params& p) const;
+  void init(state* s, node_id label);
   std::optional<message> on_step(state* s, const node_context& ctx) const;
   void on_receive(state* s, const node_context& ctx, const message& m) const;
   bool informed(const state& s) const;
@@ -292,7 +292,9 @@ struct good_soa_traits {
   void on_restart(state* s, const node_context& ctx) const;
   void begin_step(std::int64_t step);
 };
-soa_entry good_protocol::soa_runner() const { return &good_soa_entry; }
+std::unique_ptr<const bound_protocol> good_protocol::bind(node_id r) const {
+  return bind_traits(good_soa_traits{}, r);
+}
 )cpp";
 
 TEST(AnalyzeTest, ContractAcceptsAConformingTraits) {
@@ -304,7 +306,7 @@ TEST(AnalyzeTest, ContractFiresOnMissingRestartHook) {
   const report rep = run_one("src/core/bad.cpp", R"cpp(
 struct bad_soa_traits {
   struct state { bool informed = false; };
-  void init(state* s, node_id label, const protocol_params& p) const;
+  void init(state* s, node_id label);
   std::optional<message> on_step(state* s, const node_context& ctx) const;
   void on_receive(state* s, const node_context& ctx, const message& m) const;
   bool informed(const state& s) const;
@@ -321,7 +323,7 @@ struct bad_soa_traits {
     std::shared_ptr<const schedule> sched;
     std::vector<int> history;
   };
-  void init(state* s, node_id label, const protocol_params& p) const;
+  void init(state* s, node_id label);
   std::optional<message> on_step(state* s, const node_context& ctx) const;
   void on_receive(state* s, const node_context& ctx, const message& m) const;
   bool informed(const state& s) const;
@@ -339,7 +341,7 @@ TEST(AnalyzeTest, ContractAllowsOwningMembersOnTheTraitsObject) {
 struct kp_like_soa_traits {
   struct state { node_id label = -1; bool informed = false; };
   std::shared_ptr<const schedule> sched;
-  void init(state* s, node_id label, const protocol_params& p) const;
+  void init(state* s, node_id label);
   std::optional<message> on_step(state* s, const node_context& ctx) const;
   void on_receive(state* s, const node_context& ctx, const message& m) const;
   bool informed(const state& s) const;
@@ -371,7 +373,7 @@ TEST(AnalyzeTest, ContractFiresOnLossyBeginStepSignature) {
   const report rep = run_one("src/core/bad.cpp", R"cpp(
 struct bad_soa_traits {
   struct state { bool informed = false; };
-  void init(state* s, node_id label, const protocol_params& p) const;
+  void init(state* s, node_id label);
   std::optional<message> on_step(state* s, const node_context& ctx) const;
   void on_receive(state* s, const node_context& ctx, const message& m) const;
   bool informed(const state& s) const;
@@ -399,14 +401,16 @@ struct cl_like_soa_traits {
     bool informed = false;
     bool halted = false;
   };
-  void init(state* s, node_id label, const protocol_params& p) const;
+  void init(state* s, node_id label);
   std::optional<message> on_step(state* s, const node_context& ctx) const;
   void on_receive(state* s, const node_context& ctx, const message& m) const;
   bool informed(const state& s) const;
   bool halted(const state& s) const;
   void on_restart(state* s, const node_context& ctx) const;
 };
-soa_entry cl_like_protocol::soa_runner() const { return &cl_like_entry; }
+std::unique_ptr<const bound_protocol> cl_like_protocol::bind(node_id r) const {
+  return bind_traits(cl_like_soa_traits{}, r);
+}
 )cpp");
   EXPECT_EQ(fired(rep, "contract"), 0);
 }
@@ -426,14 +430,16 @@ struct il_like_soa_traits {
     bool rr_informed = false;
   };
   void begin_step(std::int64_t step);
-  void init(state* s, node_id label, const protocol_params& p) const;
+  void init(state* s, node_id label);
   std::optional<message> on_step(state* s, const node_context& ctx) const;
   void on_receive(state* s, const node_context& ctx, const message& m) const;
   bool informed(const state& s) const;
   bool halted(const state& s) const;
   void on_restart(state* s, const node_context& ctx) const;
 };
-soa_entry il_like_protocol::soa_runner() const { return &il_like_entry; }
+std::unique_ptr<const bound_protocol> il_like_protocol::bind(node_id r) const {
+  return bind_traits(il_like_soa_traits{}, r);
+}
 )cpp");
   EXPECT_EQ(fired(rep, "contract"), 0);
 }
@@ -450,7 +456,7 @@ struct il_bad_soa_traits {
     bool rr_informed = false;
   };
   void begin_step(int step);
-  void init(state* s, node_id label, const protocol_params& p) const;
+  void init(state* s, node_id label);
   std::optional<message> on_step(state* s, const node_context& ctx) const;
   void on_receive(state* s, const node_context& ctx, const message& m) const;
   bool informed(const state& s) const;
@@ -461,27 +467,17 @@ struct il_bad_soa_traits {
   EXPECT_EQ(fired(rep, "contract"), 1);
 }
 
-TEST(AnalyzeTest, ContractFiresOnEntryWithoutTraits) {
-  const report rep = run_one("src/core/bad.cpp", R"cpp(
-soa_entry bad_protocol::soa_runner() const { return &some_entry_fn; }
-)cpp");
-  EXPECT_EQ(fired(rep, "contract"), 1);
-}
-
-TEST(AnalyzeTest, ContractIgnoresDelegatingAndNullRunners) {
-  // protocol.h's default returns nullptr; kp's fallback path delegates.
-  // Neither requires local traits.
-  EXPECT_EQ(fired(run_one("src/core/a.h",
-                          "virtual soa_entry soa_runner() const { return "
-                          "nullptr; }\n"),
+TEST(AnalyzeTest, ContractNeedsNoLocalTraitsForABind) {
+  // A protocol reaches the engines only through bind_traits, so the type
+  // system already ties every bind() to some traits struct; a bind that
+  // delegates (kp's Decay fallback) or whose traits live in another file
+  // is not a finding.
+  EXPECT_EQ(fired(run_one("src/core/b.cpp",
+                          "std::unique_ptr<const bound_protocol> "
+                          "b::bind(node_id r) const { return "
+                          "other_protocol().bind(r); }\n"),
                   "contract"),
             0);
-  EXPECT_EQ(
-      fired(run_one("src/core/b.cpp",
-                    "soa_entry b::soa_runner() const { return "
-                    "other_protocol().soa_runner(); }\n"),
-            "contract"),
-      0);
 }
 
 // ---------- P4: hot-path ----------

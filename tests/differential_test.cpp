@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dfs_known.h"
 #include "core/runner.h"
 #include "exec/parallel_trials.h"
 #include "fault/churn.h"
@@ -438,18 +439,17 @@ TEST(DifferentialTest, TrialRecordsMatchTracedReruns) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine differential: soa vs frontier vs reference.
+// Engine differential: soa vs reference.
 //
-// The frontier engine (docs/PERFORMANCE.md) skips dormant nodes in phase 1
-// and hoists the fault branches out of phase 2; the soa engine additionally
-// devirtualizes the protocol step and shards both phases of a single step
-// across threads with an ordered merge. The contract for BOTH is BIT
-// IDENTITY with the retained reference engine — not statistical agreement:
-// trial records, full metrics dumps, and event-for-event trace NDJSON must
-// all be byte-equal, across protocols, graph families, fault models, the
-// serial/parallel executors, and every intra-step thread count.
-// verify_sleepers rides along on every frontier run, so the dormant-node
-// contract is checked live, not assumed.
+// The soa engine (docs/PERFORMANCE.md) skips dormant nodes in phase 1,
+// hoists the fault branches out of phase 2, and shards both phases of a
+// single step across threads with an ordered merge. The contract is BIT
+// IDENTITY with the reference engine, which steps all n nodes serially —
+// not statistical agreement: trial records, full metrics dumps, and
+// event-for-event trace NDJSON must all be byte-equal, across protocols,
+// graph families, fault models, the serial/parallel executors, and every
+// intra-step thread count. verify_sleepers rides along on every soa run,
+// so the dormant-node contract is checked live, not assumed.
 // ---------------------------------------------------------------------------
 
 /// Everything observable from one run under a given engine.
@@ -543,20 +543,13 @@ void expect_engines_agree(const graph& g, const protocol& proto,
                           const std::string& what) {
   const engine_observation ref =
       observe(g, proto, step_engine::reference, faults, threads);
-  const engine_observation fro =
-      observe(g, proto, step_engine::frontier, faults, threads);
-  expect_observations_equal(ref, fro, what + "/frontier");
-
-  // Third engine, when the protocol has an SoA step form: serial, and
-  // intra-step sharded at 2 and 8 threads (grain 1). Every variant must
-  // match the reference byte-for-byte.
-  if (proto.soa_runner() != nullptr) {
-    for (int st : {1, 2, 8}) {
-      const engine_observation soa =
-          observe(g, proto, step_engine::soa, faults, threads, st);
-      expect_observations_equal(
-          ref, soa, what + "/soa@st" + std::to_string(st));
-    }
+  // The soa engine serial, and intra-step sharded at 2 and 8 threads
+  // (grain 1). Every variant must match the reference byte-for-byte.
+  for (int st : {1, 2, 8}) {
+    const engine_observation soa =
+        observe(g, proto, step_engine::soa, faults, threads, st);
+    expect_observations_equal(ref, soa,
+                              what + "/soa@st" + std::to_string(st));
   }
 }
 
@@ -574,13 +567,15 @@ TEST(EngineDifferentialTest, AllProtocolsAllGraphFamilies) {
           make_protocol(proto_name, g.node_count() - 1, known_d);
       expect_engines_agree(g, *proto, nullptr, 0, gtag + "/" + proto_name);
     }
+    const dfs_known_protocol dfs(g);
+    expect_engines_agree(g, dfs, nullptr, 0, gtag + "/dfs-known");
   }
 }
 
 TEST(EngineDifferentialTest, CompleteLayeredOnItsOwnFamily) {
   // The structure-aware baseline never appears in general_protocols (it
-  // requires its own topology family), so its SoA traits get a dedicated
-  // three-way leg here: fault-free on two layer shapes, then crash and
+  // requires its own topology family), so it gets a dedicated engine leg
+  // here: fault-free on two layer shapes, then crash and
   // loss models — completion under faults is data, byte-equality of
   // whatever happened is the contract.
   const fault_factory crash = [] {
@@ -686,7 +681,7 @@ TEST(EngineDifferentialTest, TokenProtocolsUnderAmnesiaStayEngineIdentical) {
   // invariants do not fully describe: a structural message arriving after
   // the wipe may legitimately fire an RC_CHECK (the chaos sampler excludes
   // token protocols for exactly this reason). That rejection is part of
-  // the engine contract too — for every seed, all three engines must agree
+  // the engine contract too — for every seed, both engines must agree
   // on WHETHER the run is rejected, and when it is not, on every record
   // field. (Empirically the protocols ride out every amnesia schedule
   // tried so far — restarted nodes re-join as fresh listeners — so the
@@ -718,16 +713,12 @@ TEST(EngineDifferentialTest, TokenProtocolsUnderAmnesiaStayEngineIdentical) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       const std::string what =
           proto_name + "/amnesia/seed" + std::to_string(seed);
-      run_result ref, fro, soa;
+      run_result ref, soa;
       const bool ref_rejected =
           run_one(*proto, step_engine::reference, seed, &ref);
-      const bool fro_rejected =
-          run_one(*proto, step_engine::frontier, seed, &fro);
       const bool soa_rejected = run_one(*proto, step_engine::soa, seed, &soa);
-      EXPECT_EQ(ref_rejected, fro_rejected) << what;
       EXPECT_EQ(ref_rejected, soa_rejected) << what;
       if (ref_rejected) continue;
-      EXPECT_EQ(ref.steps, fro.steps) << what;
       EXPECT_EQ(ref.steps, soa.steps) << what;
       EXPECT_EQ(ref.transmissions, soa.transmissions) << what;
       EXPECT_EQ(ref.collisions, soa.collisions) << what;
@@ -740,7 +731,7 @@ TEST(EngineDifferentialTest, TokenProtocolsUnderAmnesiaStayEngineIdentical) {
 
 TEST(EngineDifferentialTest, AcrossParallelExecutor) {
   // The engine choice must thread through parallel_run_trials' shard
-  // workers: 4-thread frontier == 4-thread reference == serial reference.
+  // workers: 4-thread soa == 4-thread reference == serial reference.
   rng topo_gen(313);
   const graph g = make_gnp_connected(24, 0.15, topo_gen);
   const auto proto = make_protocol("decay", g.node_count() - 1);

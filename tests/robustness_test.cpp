@@ -4,7 +4,7 @@
 
 #include "adversary/lower_bound_builder.h"
 #include "adversary/selective_family.h"
-#include "core/echo.h"
+#include "core/echo_soa.h"
 #include "core/runner.h"
 #include "core/universal_sequence.h"
 #include "fault/churn.h"
@@ -13,33 +13,44 @@
 #include "graph/analysis.h"
 #include "graph/generators.h"
 #include "sim/simulator.h"
+#include "sim/soa_engine.h"
 
 namespace radiocast {
 namespace {
 
 // A protocol whose source never transmits: a broken broadcaster. Legal as
 // an object, useless as an algorithm — used to exercise stuck-handling.
+// `informed_source` = false instead breaks the source-starts-informed
+// contract.
+struct silent_soa_traits {
+  bool informed_source = true;
+
+  struct state {
+    node_id label = 0;
+    bool informed = false;
+  };
+
+  void init(state* s, node_id label) const {
+    s->label = label;
+    s->informed = informed_source && label == 0;
+  }
+  std::optional<message> on_step(state*, const node_context&) const {
+    return std::nullopt;
+  }
+  void on_receive(state* s, const node_context&, const message&) const {
+    s->informed = informed_source;
+  }
+  bool informed(const state& s) const { return s.informed; }
+  bool halted(const state&) const { return false; }
+  void on_restart(state* s, const node_context&) const { init(s, s->label); }
+};
+
 class silent_protocol final : public protocol {
  public:
   std::string name() const override { return "silent"; }
   bool deterministic() const override { return true; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params&) const override {
-    class node final : public protocol_node {
-     public:
-      explicit node(node_id label) : informed_(label == 0) {}
-      std::optional<message> on_step(const node_context&) override {
-        return std::nullopt;
-      }
-      void on_receive(const node_context&, const message&) override {
-        informed_ = true;
-      }
-      bool informed() const override { return informed_; }
-
-     private:
-      bool informed_;
-    };
-    return std::make_unique<node>(label);
+  std::unique_ptr<const bound_protocol> bind(node_id r) const override {
+    return bind_traits(silent_soa_traits{}, r);
   }
 };
 
@@ -48,17 +59,8 @@ class uninformed_source_protocol final : public protocol {
  public:
   std::string name() const override { return "broken-source"; }
   bool deterministic() const override { return true; }
-  std::unique_ptr<protocol_node> make_node(
-      node_id, const protocol_params&) const override {
-    class node final : public protocol_node {
-     public:
-      std::optional<message> on_step(const node_context&) override {
-        return std::nullopt;
-      }
-      void on_receive(const node_context&, const message&) override {}
-      bool informed() const override { return false; }  // even the source
-    };
-    return std::make_unique<node>();
+  std::unique_ptr<const bound_protocol> bind(node_id r) const override {
+    return bind_traits(silent_soa_traits{false}, r);
   }
 };
 
@@ -95,28 +97,33 @@ TEST(RobustnessTest, AdversaryMarksStuckConstruction) {
 }
 
 TEST(RobustnessTest, SelectionDriverRejectsUseAfterFinish) {
-  selection_driver driver({1, 2}, /*helper=*/5, /*bound=*/7);
+  constexpr selection_kinds kinds{1, 2};
+  soa_selection sel;
+  sel_init(&sel, /*bound=*/7);
   // Drive one full echo with an "empty" outcome: order, silence, helper.
-  (void)driver.on_step(0);
-  (void)driver.on_step(1);
-  (void)driver.on_step(2);
-  driver.on_receive(message{2, 5, 0, 0, 0, 0});  // helper reply (step 2)
-  (void)driver.on_step(3);                       // evaluate → empty_set
-  ASSERT_TRUE(driver.finished());
-  EXPECT_EQ(driver.result(), selection_driver::status::empty_set);
-  EXPECT_THROW(driver.on_step(4), precondition_error);
-  EXPECT_THROW(driver.selected(), precondition_error);
+  (void)sel_on_step(&sel, kinds, /*helper=*/5, 7, nullptr);
+  (void)sel_on_step(&sel, kinds, 5, 7, nullptr);
+  (void)sel_on_step(&sel, kinds, 5, 7, nullptr);
+  sel_on_receive(&sel, kinds, message{2, 5, 0, 0, 0, 0});  // helper (step 2)
+  (void)sel_on_step(&sel, kinds, 5, 7, nullptr);  // evaluate → empty set
+  ASSERT_TRUE(sel_finished(sel));
+  EXPECT_FALSE(sel_selected(sel));
+  EXPECT_THROW(sel_on_step(&sel, kinds, 5, 7, nullptr), precondition_error);
+  EXPECT_THROW(sel_selected_label(sel), precondition_error);
 }
 
 TEST(RobustnessTest, SelectionDriverIgnoresForeignKinds) {
-  selection_driver driver({1, 2}, 5, 7);
-  (void)driver.on_step(0);
-  (void)driver.on_step(1);
-  driver.on_receive(message{99, 3, 0, 0, 0, 0});  // not a reply: ignored
-  (void)driver.on_step(2);
-  driver.on_receive(message{2, 5, 0, 0, 0, 0});
-  (void)driver.on_step(3);
-  EXPECT_EQ(driver.result(), selection_driver::status::empty_set);
+  constexpr selection_kinds kinds{1, 2};
+  soa_selection sel;
+  sel_init(&sel, 7);
+  (void)sel_on_step(&sel, kinds, 5, 7, nullptr);
+  (void)sel_on_step(&sel, kinds, 5, 7, nullptr);
+  sel_on_receive(&sel, kinds, message{99, 3, 0, 0, 0, 0});  // not a reply
+  (void)sel_on_step(&sel, kinds, 5, 7, nullptr);
+  sel_on_receive(&sel, kinds, message{2, 5, 0, 0, 0, 0});
+  (void)sel_on_step(&sel, kinds, 5, 7, nullptr);
+  ASSERT_TRUE(sel_finished(sel));
+  EXPECT_FALSE(sel_selected(sel));  // empty set: the foreign kind was ignored
 }
 
 TEST(RobustnessTest, ModularFamilyWithTooFewPrimesFails) {

@@ -10,6 +10,7 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "sim/simulator.h"
+#include "sim/soa_engine.h"
 #include "sim/trace.h"
 
 namespace radiocast {
@@ -23,54 +24,57 @@ struct script_observer {
   std::map<node_id, std::vector<std::pair<std::int64_t, node_id>>> received;
 };
 
+using script_map = std::map<node_id, std::vector<std::int64_t>>;
+
+// The scripts are variable-length per-label data, so they live on the
+// traits object; the per-node state is just the label and informed flag.
+struct scripted_soa_traits {
+  const script_map* scripts = nullptr;
+  script_observer* observer = nullptr;
+
+  struct state {
+    node_id label = 0;
+    bool informed = false;
+  };
+
+  void init(state* s, node_id label) const {
+    s->label = label;
+    s->informed = (label == 0);
+  }
+
+  std::optional<message> on_step(state* s, const node_context& ctx) const {
+    const auto it = scripts->find(s->label);
+    if (it == scripts->end()) return std::nullopt;
+    for (const std::int64_t t : it->second) {
+      if (t == ctx.step) return message{1, s->label, ctx.step, 0, 0, 0};
+    }
+    return std::nullopt;
+  }
+
+  void on_receive(state* s, const node_context& ctx,
+                  const message& msg) const {
+    s->informed = true;
+    observer->received[s->label].emplace_back(ctx.step, msg.from);
+  }
+
+  bool informed(const state& s) const { return s.informed; }
+  bool halted(const state&) const { return false; }
+  void on_restart(state* s, const node_context&) const { init(s, s->label); }
+};
+
 class scripted_protocol final : public protocol {
  public:
-  scripted_protocol(std::map<node_id, std::vector<std::int64_t>> scripts,
-                    script_observer* observer)
+  scripted_protocol(script_map scripts, script_observer* observer)
       : scripts_(std::move(scripts)), observer_(observer) {}
 
   std::string name() const override { return "scripted"; }
   bool deterministic() const override { return true; }
-
-  std::unique_ptr<protocol_node> make_node(
-      node_id label, const protocol_params&) const override {
-    std::vector<std::int64_t> script;
-    if (const auto it = scripts_.find(label); it != scripts_.end()) {
-      script = it->second;
-    }
-    return std::make_unique<node_impl>(label, std::move(script), observer_);
+  std::unique_ptr<const bound_protocol> bind(node_id r) const override {
+    return bind_traits(scripted_soa_traits{&scripts_, observer_}, r);
   }
 
  private:
-  class node_impl final : public protocol_node {
-   public:
-    node_impl(node_id label, std::vector<std::int64_t> script,
-              script_observer* observer)
-        : label_(label), script_(std::move(script)), observer_(observer),
-          informed_(label == 0) {}
-
-    std::optional<message> on_step(const node_context& ctx) override {
-      for (std::int64_t s : script_) {
-        if (s == ctx.step) return message{1, label_, ctx.step, 0, 0, 0};
-      }
-      return std::nullopt;
-    }
-
-    void on_receive(const node_context& ctx, const message& msg) override {
-      informed_ = true;
-      observer_->received[label_].emplace_back(ctx.step, msg.from);
-    }
-
-    bool informed() const override { return informed_; }
-
-   private:
-    node_id label_;
-    std::vector<std::int64_t> script_;
-    script_observer* observer_;
-    bool informed_;
-  };
-
-  std::map<node_id, std::vector<std::int64_t>> scripts_;
+  script_map scripts_;
   script_observer* observer_;
 };
 
@@ -174,7 +178,7 @@ TEST(SimTest, SpontaneousTransmissionIsRejected) {
 TEST(SimTest, SleeperSweepCatchesSpontaneousTransmission) {
   graph g = make_path(3);
   script_observer obs;
-  // Under the frontier engine a dormant node is never stepped, so a script
+  // Under the soa engine a dormant node is never stepped, so a script
   // that violates the dormant-node contract goes unnoticed — unless
   // verify_sleepers sweeps it.
   scripted_protocol proto({{2, {0}}}, &obs);
@@ -203,7 +207,7 @@ TEST(SimTest, UnfinalizedGraphIsRejected) {
 
 TEST(SimTest, EnginesAgreeOnScriptedRun) {
   graph g = make_star(6);
-  for (const auto engine : {step_engine::frontier, step_engine::reference}) {
+  for (const auto engine : {step_engine::soa, step_engine::reference}) {
     script_observer obs;
     scripted_protocol proto({{0, {0}}, {1, {1}}, {2, {2}}}, &obs);
     run_options opts = capped_full(4);

@@ -114,10 +114,10 @@ TEST(StressTest, SoaEngineOnHundredThousandNodeSparseGnp) {
   EXPECT_LT(res.informed_step, 100'000);
 }
 
-TEST(StressTest, SoaMatchesFrontierAtScale) {
+TEST(StressTest, SoaMatchesReferenceAtScale) {
   // Record-level spot check at a size the differential matrix (which runs
   // every engine × fault × thread combination on small graphs) cannot
-  // afford: one seed, n = 50k, soa vs frontier must agree exactly.
+  // afford: one seed, n = 50k, soa vs reference must agree exactly.
   const node_id n = 50'000;
   graph g = make_complete_layered_fat(n, 32, /*fat_index=*/1);
   const auto proto = make_protocol("decay", n - 1);
@@ -126,57 +126,57 @@ TEST(StressTest, SoaMatchesFrontierAtScale) {
   opts.max_steps = 2'000'000;
   opts.engine = step_engine::soa;
   const run_result soa = run_broadcast(g, *proto, opts);
-  opts.engine = step_engine::frontier;
-  const run_result fro = run_broadcast(g, *proto, opts);
+  opts.engine = step_engine::reference;
+  const run_result ref = run_broadcast(g, *proto, opts);
   ASSERT_TRUE(soa.completed);
-  EXPECT_EQ(soa.steps, fro.steps);
-  EXPECT_EQ(soa.informed_step, fro.informed_step);
-  EXPECT_EQ(soa.transmissions, fro.transmissions);
-  EXPECT_EQ(soa.collisions, fro.collisions);
-  EXPECT_EQ(soa.deliveries, fro.deliveries);
-  EXPECT_EQ(soa.informed_at, fro.informed_at);
+  EXPECT_EQ(soa.steps, ref.steps);
+  EXPECT_EQ(soa.informed_step, ref.informed_step);
+  EXPECT_EQ(soa.transmissions, ref.transmissions);
+  EXPECT_EQ(soa.collisions, ref.collisions);
+  EXPECT_EQ(soa.deliveries, ref.deliveries);
+  EXPECT_EQ(soa.informed_at, ref.informed_at);
 }
 
 // Engine-matching helper for the deterministic-protocol scale checks
-// below: one seed, soa vs frontier, every record field exact. The token
+// below: one seed, soa vs reference, every record field exact. The token
 // protocols keep all informed nodes in the awake list, so sizes here are
-// bounded by steps × awake ≈ n² — a few thousand nodes is already well
-// past what the differential matrix runs.
-void expect_soa_matches_frontier(const graph& g, const protocol& proto,
-                                 run_options opts) {
+// bounded by steps × n ≈ n² — a few thousand nodes is already well past
+// what the differential matrix runs.
+void expect_soa_matches_reference(const graph& g, const protocol& proto,
+                                  run_options opts) {
   opts.engine = step_engine::soa;
   const run_result soa = run_broadcast(g, proto, opts);
-  opts.engine = step_engine::frontier;
-  const run_result fro = run_broadcast(g, proto, opts);
-  EXPECT_EQ(soa.completed, fro.completed);
-  EXPECT_EQ(soa.steps, fro.steps);
-  EXPECT_EQ(soa.informed_step, fro.informed_step);
-  EXPECT_EQ(soa.transmissions, fro.transmissions);
-  EXPECT_EQ(soa.collisions, fro.collisions);
-  EXPECT_EQ(soa.deliveries, fro.deliveries);
-  EXPECT_EQ(soa.informed_at, fro.informed_at);
+  opts.engine = step_engine::reference;
+  const run_result ref = run_broadcast(g, proto, opts);
+  EXPECT_EQ(soa.completed, ref.completed);
+  EXPECT_EQ(soa.steps, ref.steps);
+  EXPECT_EQ(soa.informed_step, ref.informed_step);
+  EXPECT_EQ(soa.transmissions, ref.transmissions);
+  EXPECT_EQ(soa.collisions, ref.collisions);
+  EXPECT_EQ(soa.deliveries, ref.deliveries);
+  EXPECT_EQ(soa.informed_at, ref.informed_at);
 }
 
-TEST(StressTest, SelectAndSendSoaMatchesFrontierOnLongPath) {
+TEST(StressTest, SelectAndSendSoaMatchesReferenceOnLongPath) {
   const node_id n = 8192;
   graph g = make_path(n);
   const auto proto = make_protocol("select-and-send", n - 1);
   run_options opts;
   opts.max_steps = 50'000'000;
   opts.stop = stop_condition::all_halted;
-  expect_soa_matches_frontier(g, *proto, opts);
+  expect_soa_matches_reference(g, *proto, opts);
 }
 
-TEST(StressTest, CompleteLayeredSoaMatchesFrontierOnWideNetwork) {
+TEST(StressTest, CompleteLayeredSoaMatchesReferenceOnWideNetwork) {
   const node_id n = 8192;
   graph g = make_complete_layered_uniform(n, 16);  // 512-wide layers
   const auto proto = make_protocol("complete-layered", n - 1);
   run_options opts;
   opts.max_steps = 10'000'000;
-  expect_soa_matches_frontier(g, *proto, opts);
+  expect_soa_matches_reference(g, *proto, opts);
 }
 
-TEST(StressTest, InterleavedSoaMatchesFrontierAtScale) {
+TEST(StressTest, InterleavedSoaMatchesReferenceAtScale) {
   // Interleaved drives both of its halves at once — the even-step
   // round-robin stream and the odd-step select-and-send token — so this
   // exercises the composed begin_step schedule hoist at a size where a
@@ -186,7 +186,7 @@ TEST(StressTest, InterleavedSoaMatchesFrontierAtScale) {
   const auto proto = make_protocol("interleaved", n - 1);
   run_options opts;
   opts.max_steps = 50'000'000;
-  expect_soa_matches_frontier(g, *proto, opts);
+  expect_soa_matches_reference(g, *proto, opts);
 }
 
 TEST(StressTest, GeometricFieldAtScale) {

@@ -674,41 +674,9 @@ constexpr std::array<const char*, 13> kNonTrivialTokens = {
     "weak_ptr",   "unordered_map", "unordered_set"};
 
 void run_contract(file_ctx& ctx) {
-  // Trigger 1: a soa_runner() DEFINITION whose body returns an entry
-  // requires SoA traits in the same translation unit.
-  bool returns_entry = false;
-  bool has_traits = false;
-  for (int ln = 1; ln <= ctx.line_count(); ++ln) {
-    const std::string& code = ctx.code(ln);
-    if (contains_token(code, "soa_runner")) {
-      const std::size_t tok = code.find("soa_runner");
-      const std::size_t open = code.find('(', tok);
-      if (open != std::string::npos) {
-        // A definition has '{' after the ')' (possibly via `const {`).
-        const std::size_t close = code.find(')', open);
-        if (close != std::string::npos &&
-            code.find('{', close) != std::string::npos) {
-          const int end = match_brace(ctx, ln, code.find('{', close));
-          for (int l = ln; l <= (end == 0 ? ln : end); ++l) {
-            if (ctx.code(l).find("return &") != std::string::npos) {
-              returns_entry = true;
-            }
-          }
-        }
-      }
-    }
-    if (code.find("_soa_traits") != std::string::npos &&
-        contains_token(code, "struct")) {
-      has_traits = true;
-    }
-  }
-  if (returns_entry && !has_traits) {
-    ctx.emit("contract", 1,
-             "soa_runner() returns an SoA entry but this file declares no "
-             "*_soa_traits struct to check against the engine contract");
-  }
-
-  // Trigger 2: validate every *_soa_traits struct.
+  // Validate every *_soa_traits struct. (A protocol reaches the engines
+  // only through bind_traits, so the type system already guarantees every
+  // protocol has traits; this pass checks their shape.)
   for (int ln = 1; ln <= ctx.line_count(); ++ln) {
     const std::string& code = ctx.code(ln);
     if (!contains_token(code, "struct")) continue;
@@ -1044,9 +1012,8 @@ const std::vector<pass_info>& passes() {
        "wall-clock reads only flow into wall_ms-family outputs, and every "
        "rng construction derives from a seeded stream (util/rng.h)"},
       {"contract",
-       "protocols exposing soa_runner() ship SoA traits with POD state, "
-       "the full hook set including on_restart, and an exact "
-       "begin_step(std::int64_t) signature"},
+       "protocol traits have POD state, the full hook set including "
+       "on_restart, and an exact begin_step(std::int64_t) signature"},
       {"hot-path",
        "no heap allocation, std::string, throw, or iostream inside "
        "annotated step-loop regions (RC_* assertion arguments exempt)"},

@@ -17,8 +17,9 @@
 //                 must derive from a seeded stream (util/rng.h): a numeric
 //                 literal, a *seed*/*salt* expression, mix_seed/splitmix64,
 //                 split(), or another generator.
-//   P3 contract   every protocol exposing soa_runner() ships SoA traits
-//                 whose `struct state` avoids owning/non-trivially-copyable
+//   P3 contract   every protocol traits struct (`*_soa_traits`, the one
+//                 definition of a protocol, sim/soa_engine.h) keeps a
+//                 `struct state` that avoids owning/non-trivially-copyable
 //                 members, implements the full hook set (init, on_step,
 //                 on_receive, informed, halted, on_restart — restart
 //                 tolerance is mandatory), and declares any begin_step hook
@@ -27,7 +28,7 @@
 //   P4 hot-path   no heap allocation, std::string construction, throw, or
 //                 iostream inside the annotated step-loop regions
 //                 (`// radiocast-analyze: hot-path-begin` … `hot-path-end`)
-//                 of sim/engine_core.h, sim/soa_engine.h, simulator.cpp.
+//                 of sim/engine_core.h and sim/soa_engine.h.
 //                 Text inside RC_CHECK*/RC_REQUIRE* macro arguments is
 //                 exempt — the assertion-failure path is cold by
 //                 definition.

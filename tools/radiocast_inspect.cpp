@@ -157,28 +157,23 @@ struct validator {
     optional(c, where, "threads", json_value::kind::integer);
     optional(c, where, "batch_wall_ms", json_value::kind::number);
     optional(c, where, "speedup", json_value::kind::number);
-    // Step-engine telemetry, added with the frontier engine: the
-    // frontier_speedup analytic case records per-engine wall clock and
-    // throughput (see bench_simulator_throughput.cpp).
+    // Step-engine telemetry: the engine_speedup analytic case records
+    // per-engine wall clock and throughput (see
+    // bench_simulator_throughput.cpp).
     const json_value* values = c.find("values");
     if (values != nullptr && values->is_object()) {
       const std::string vwhere = where + ".values";
       optional(*values, vwhere, "reference_min_ms", json_value::kind::number);
-      optional(*values, vwhere, "frontier_min_ms", json_value::kind::number);
       optional(*values, vwhere, "steps_per_sec_reference",
-               json_value::kind::number);
-      optional(*values, vwhere, "steps_per_sec_frontier",
                json_value::kind::number);
       optional(*values, vwhere, "speedup", json_value::kind::number);
       optional(*values, vwhere, "steps", json_value::kind::integer);
-      // SoA-engine telemetry, added with the mega_scale analytic case:
-      // soa vs frontier wall clock/throughput and the million-node
-      // completion runs (see check_mega_scale in
+      // SoA-engine telemetry: soa wall clock/throughput and the
+      // million-node completion runs (see check_mega_scale in
       // bench_simulator_throughput.cpp).
       optional(*values, vwhere, "soa_min_ms", json_value::kind::number);
       optional(*values, vwhere, "steps_per_sec_soa",
                json_value::kind::number);
-      optional(*values, vwhere, "soa_speedup", json_value::kind::number);
       optional(*values, vwhere, "mega_n", json_value::kind::integer);
       optional(*values, vwhere, "mega_layered_wall_ms",
                json_value::kind::number);
