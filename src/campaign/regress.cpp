@@ -55,10 +55,13 @@ struct checker {
     report.problems.push_back(case_name + ": " + label + " " + what);
   }
 
-  /// Directional comparison with a percent tolerance. `lower_better`
-  /// flips the direction; a missing fresh value is always a violation.
-  void directional(const std::string& label, const obs::json_value* base,
-                   const obs::json_value* fresh, bool lower_better) {
+  enum class gate { lower_better, higher_better, two_sided };
+
+  /// Percent-tolerance comparison: one-sided in the better direction, or
+  /// two-sided (|fresh − baseline| within the tolerance). A missing fresh
+  /// value is always a violation.
+  void compare(const std::string& label, const obs::json_value* base,
+               const obs::json_value* fresh, gate g) {
     if (base == nullptr || !base->is_number()) return;  // nothing to gate on
     const double b = base->as_double();
     if (std::isnan(b)) return;
@@ -70,14 +73,16 @@ struct checker {
     const double f = fresh->as_double();
     const double pct = tolerance_for(opts, label);
     ++report.comparisons;
-    const double limit =
-        lower_better ? b * (1.0 + pct / 100.0) : b * (1.0 - pct / 100.0);
-    const bool violated = lower_better ? f > limit : f < limit;
-    if (violated) {
-      problem(label, "regressed: baseline=" + format_number(b) +
+    const double upper = b * (1.0 + pct / 100.0);
+    const double lower = b * (1.0 - pct / 100.0);
+    const bool too_high = g != gate::higher_better && f > upper;
+    const bool too_low = g != gate::lower_better && f < lower;
+    if (too_high || too_low) {
+      const char* what = g == gate::two_sided ? "drifted" : "regressed";
+      problem(label, std::string(what) + ": baseline=" + format_number(b) +
                          " fresh=" + format_number(f) + " (limit " +
-                         format_number(limit) + ", tolerance " +
-                         format_number(pct) + "%)");
+                         format_number(too_high ? upper : lower) +
+                         ", tolerance " + format_number(pct) + "%)");
     }
   }
 
@@ -122,12 +127,12 @@ regress_report run_regress(const obs::json_value& baseline,
       continue;
     }
     checker chk{opts, report, case_name};
-    chk.directional("steps.mean", base_case.find_path("steps.mean"),
-                    fresh_case->find_path("steps.mean"),
-                    /*lower_better=*/true);
-    chk.directional("timeout_rate", base_case.find("timeout_rate"),
-                    fresh_case->find("timeout_rate"),
-                    /*lower_better=*/true);
+    // Simulated steps are fixed by the seed: a mean that moves either way
+    // means the algorithm changed.
+    chk.compare("steps.mean", base_case.find_path("steps.mean"),
+                fresh_case->find_path("steps.mean"), checker::gate::two_sided);
+    chk.compare("timeout_rate", base_case.find("timeout_rate"),
+                fresh_case->find("timeout_rate"), checker::gate::lower_better);
     const obs::json_value* base_values = base_case.find("values");
     const obs::json_value* fresh_values = fresh_case->find("values");
     if (base_values != nullptr && base_values->is_object()) {
@@ -139,8 +144,8 @@ regress_report run_regress(const obs::json_value& baseline,
         if (key == "steps") {
           chk.exact("values.steps", &member, fresh_member);
         } else if (higher_better_key(key)) {
-          chk.directional(key, &member, fresh_member,
-                          /*lower_better=*/false);
+          chk.compare(key, &member, fresh_member,
+                      checker::gate::higher_better);
         }
         // Everything else (raw wall-clock, parameters echoed into values)
         // is not comparable across hosts — ignored by design.

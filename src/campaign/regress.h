@@ -8,7 +8,7 @@
 // defined "better" direction participate:
 //
 //   key              direction       default tolerance
-//   steps.mean       lower better    0%   (trial records are deterministic)
+//   steps.mean       two-sided       0%   (trial records are deterministic)
 //   timeout_rate     lower better    0%
 //   values.steps     exact           —    (a step-count drift is a bug)
 //   *speedup, off_over_on,
@@ -17,7 +17,8 @@
 // Every other key — wall_ms and friends in particular — is ignored: host
 // wall-clock is not comparable across machines, only the RATIOS derived
 // from same-process measurements are, and those get the wide tolerance.
-// Per-key overrides (the CLI's `--tolerance key=pct`) replace the default;
+// Per-key overrides (the CLI's `--tolerance key=pct`) replace the default
+// (for the two-sided steps.mean, `steps.mean=5` allows ±5%);
 // keys are matched by the label shown in the report ("steps.mean",
 // "timeout_rate", or the bare values key like "steps_per_sec_soa").
 //

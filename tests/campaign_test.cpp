@@ -605,8 +605,13 @@ TEST(RegressTest, StepsMeanIsExactByDefault) {
   campaign::regress_options loose;
   loose.tolerances.emplace_back("steps.mean", 5.0);
   EXPECT_TRUE(campaign::run_regress(base, fresh, loose).ok);
-  // Improvement (lower mean) always passes.
-  EXPECT_TRUE(campaign::run_regress(base, bench_doc({.mean = 90.0}), {}).ok);
+  // A lower mean is a drift too: seed-fixed step counts move only when the
+  // algorithm changes. The override widens the gate both ways.
+  const auto lower = bench_doc({.mean = 119.0});
+  EXPECT_FALSE(campaign::run_regress(base, lower, {}).ok);
+  EXPECT_TRUE(campaign::run_regress(base, lower, loose).ok);
+  EXPECT_FALSE(
+      campaign::run_regress(base, bench_doc({.mean = 90.0}), loose).ok);
 }
 
 TEST(RegressTest, ThroughputKeysGetWideTolerance) {
