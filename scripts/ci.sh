@@ -49,9 +49,9 @@
 #      (--stop-after), resumes it, merges, validates the merged artifact,
 #      and diffs it against an uninterrupted single-pass merge — the two
 #      must be bit-identical outside wall-clock keys. Then the
-#      perf-regression gate: `radiocast_inspect regress` compares stage 4's
-#      fresh smoke artifacts against the committed bench/baselines/ and
-#      fails CI on any gated drop (see scripts/update_baselines.sh).
+#      perf-regression gate: `radiocast_inspect regress` compares stage 5's
+#      fresh smoke artifacts against every committed bench/baselines/ file
+#      and fails CI on any gated move (see scripts/update_baselines.sh).
 #
 # Every ctest invocation carries --timeout 300 so a hung test (deadlocked
 # pool, runaway adversary) fails the stage instead of wedging CI.
@@ -199,18 +199,25 @@ build/tools/radiocast_inspect validate \
 build/tools/radiocast_inspect diff \
   "$campaign_dir"/merged-interrupted.json \
   "$campaign_dir"/merged-straight.json
-# Perf-regression gate: stage 5's fresh smoke artifacts vs the committed
-# baselines. Deterministic keys (steps, steps.mean, timeout_rate) gate
-# exactly; wall-clock-derived ratios get an extra-wide tolerance here
-# because smoke-mode runs (≤2 trials) are noisy on shared CI hosts — the
-# throughput bench separately RC_CHECKs soa > reference, so a real
-# engine regression still fails stage 5.
-build/tools/radiocast_inspect regress \
-  bench/baselines/BENCH_simulator_throughput.json \
-  "$smoke_dir"/BENCH_simulator_throughput.json \
-  --tolerance speedup=75 --tolerance off_over_on=75
-build/tools/radiocast_inspect regress \
-  bench/baselines/BENCH_fault_resilience.json \
-  "$smoke_dir"/BENCH_fault_resilience.json
+# Perf-regression gate: stage 5's fresh smoke artifacts vs every committed
+# baseline (one per bench harness). Deterministic keys gate exactly:
+# steps.mean in both directions, values.steps to the step, timeout_rate
+# never up. The throughput bench's wall-clock-derived ratios get an
+# extra-wide tolerance because smoke-mode runs (≤2 trials) are noisy on
+# shared CI hosts — the bench separately RC_CHECKs soa > reference, so a
+# real engine regression still fails stage 5.
+for baseline in bench/baselines/BENCH_*.json; do
+  name=$(basename "$baseline")
+  if [ ! -f "$smoke_dir/$name" ]; then
+    echo "ci: $name has a baseline but no fresh smoke artifact" >&2
+    exit 1
+  fi
+  if [ "$name" = BENCH_simulator_throughput.json ]; then
+    build/tools/radiocast_inspect regress "$baseline" "$smoke_dir/$name" \
+      --tolerance speedup=75 --tolerance off_over_on=75
+  else
+    build/tools/radiocast_inspect regress "$baseline" "$smoke_dir/$name"
+  fi
+done
 
 echo "ci: all seven stages passed"
