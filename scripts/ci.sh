@@ -113,10 +113,11 @@ cmake --build build-tsan --parallel --target parallel_test sim_test \
   chaos_test
 # chaos_test rides along for the intra-step-sharded soa engine: its SoA
 # leg forces step_threads=2 / grain=1 on every sampled scenario (and the
-# broken-merge case runs 4 shards), so exec::run_shards' fork/join and the
-# ordered phase merges execute under TSan on every push. RADIOCAST_THREADS=4
-# makes every threads=0 call site (including run_options::step_threads=0)
-# genuinely parallel on any host.
+# broken-merge case runs 4 shards), so soa_run's shard fork/join and the
+# ordered phase merges execute under TSan on every push; sim_test's
+# observation case shards both phases at 4 step threads.
+# RADIOCAST_THREADS=4 makes every threads=0 call site (including
+# run_options::step_threads=0) genuinely parallel on any host.
 RADIOCAST_THREADS=4 ctest --test-dir build-tsan --output-on-failure \
   --timeout 300 -R 'parallel_test|sim_test|chaos_test'
 

@@ -1,9 +1,11 @@
-// Dependency-free fixed-size thread pool for trial-level parallelism.
+// Dependency-free fixed-size thread pool.
 //
-// The simulator itself stays single-threaded by design (see
-// src/obs/metrics.h); what parallelizes is the TRIAL loop — independent
-// seeded run_broadcast calls that share nothing but the (const) graph and
-// protocol factory. This pool is the minimal substrate for that:
+// Two layers run on it: the TRIAL loop (exec/parallel_trials.h) —
+// independent seeded run_broadcast calls that share nothing but the
+// (const) graph and protocol factory — and the step engine's intra-step
+// sharding (sim/soa_engine.h, run_options::step_threads), which forks one
+// step's phase 1 and phase 2 over a run-lifetime pool and merges the
+// shards in order. This pool is the minimal substrate for both:
 //
 //   * a fixed set of workers created up front (no growth, no work stealing);
 //   * submit() enqueues a task, wait_idle() blocks until every submitted

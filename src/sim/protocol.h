@@ -33,7 +33,7 @@
 //
 // POOLED PER-NODE RNG (the CONTRACT's second beneficiary): both engines
 // draw per-node randomness from one contiguous pool, `gens_` in
-// sim/engine_core.h, split from the root seed in node order 0…n−1. This is
+// sim/soa_engine.h, split from the root seed in node order 0…n−1. This is
 // only sound BECAUSE of the dormant-node contract: a dormant node never
 // advances its pool slot, so the soa engine, which skips dormant nodes,
 // leaves the pool byte-identical to the reference engine, which steps all

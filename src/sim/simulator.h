@@ -38,11 +38,11 @@ enum class stop_condition {
   all_halted,    ///< stop once every node reports halted() (token protocols)
 };
 
-/// Which step loop runs the broadcast (see docs/PERFORMANCE.md). Both
-/// loops run the protocol's traits (sim/soa_engine.h) and share every other
-/// part of a step (sim/engine_core.h); trial records, metrics dumps, and
-/// traces are bit-identical between them — the differential suite holds
-/// them to that.
+/// How the one step loop (sim/soa_engine.h) visits nodes and scans for
+/// receptions (see docs/PERFORMANCE.md). Both engines run the protocol's
+/// traits and share every other part of a step; trial records, metrics
+/// dumps, and traces are bit-identical between them — the differential
+/// suite holds them to that.
 enum class step_engine {
   /// Struct-of-arrays engine (sim/soa_engine.h): phase 1 iterates only the
   /// awake set (source + every node that has received at least one

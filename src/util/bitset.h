@@ -1,5 +1,5 @@
 // Packed bit mask for the hot-path membership tests (crash masks, awake
-// masks, down-edge masks — sim/engine_core.h, sim/soa_engine.h).
+// masks, down-edge masks — sim/soa_engine.h).
 //
 // std::vector<std::uint8_t> answers "is v crashed?" one byte at a time;
 // std::vector<bool> packs bits but hides the words, so a sweep that wants

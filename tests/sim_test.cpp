@@ -1,14 +1,22 @@
 // Tests of the radio simulator's semantics: the collision model (receive
 // iff exactly one transmitting in-neighbor, collision ≡ silence), the
-// no-spontaneous-transmission rule, directed operation, tracing, and the
-// run-loop bookkeeping.
+// no-spontaneous-transmission rule, directed operation, tracing, the
+// run-loop bookkeeping, and that observing a run never changes it.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <map>
+#include <sstream>
 
+#include "core/dfs_known.h"
+#include "core/runner.h"
+#include "fault/loss.h"
+#include "fault/recovery.h"
+#include "graph/analysis.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "obs/metrics.h"
+#include "obs/span.h"
 #include "sim/simulator.h"
 #include "sim/soa_engine.h"
 #include "sim/trace.h"
@@ -405,6 +413,115 @@ TEST(SimTest, CompletionTimesMatchesRunTrialsOnCompletion) {
   EXPECT_TRUE(batch.all_completed());
   const std::vector<double> direct = completion_times(g, proto, 4, 3, 10);
   EXPECT_EQ(direct, batch.completion_steps());
+}
+
+// ---------- observation is side-effect free ----------
+
+struct observed_run {
+  std::string record;  // every scalar field of run_result
+  std::vector<std::int64_t> informed_at;
+  std::vector<std::int64_t> transmissions_per_node;
+  std::string trace_ndjson;  // empty without a sink
+};
+
+struct observers {
+  bool metrics = false;
+  bool profiler = false;
+  bool sink = false;
+};
+
+observed_run run_observed(const graph& g, const protocol& proto,
+                          bool faulted, int step_threads, observers on) {
+  fault::recovery_options ro;
+  ro.schedule = {{1, 3}, {4, 5}, {7, 9}, {0, 12}};
+  ro.crash_probability = 0.002;
+  ro.mode = fault::recovery_mode::amnesia;
+  ro.downtime = 4;
+  fault::recovery_model recovery(ro);
+  fault::loss_model loss(fault::loss_options{0.1});
+  fault::composite_fault_model faults({&recovery, &loss});
+  obs::metrics_registry registry;
+  obs::span_profiler profiler;
+  trace sink;
+
+  run_options opts;
+  opts.seed = 7;
+  opts.max_steps = 1500;
+  opts.step_threads = step_threads;
+  opts.step_shard_grain = 1;
+  if (faulted) opts.faults = &faults;
+  if (on.metrics) opts.metrics = &registry;
+  if (on.profiler) opts.profiler = &profiler;
+  if (on.sink) opts.sink = &sink;
+  run_result r = run_broadcast(g, proto, opts);
+
+  observed_run out;
+  std::ostringstream rec;
+  rec << r.completed << ' ' << r.steps << ' ' << r.informed_step << ' '
+      << r.transmissions << ' ' << r.collisions << ' ' << r.deliveries << ' '
+      << r.crashed_nodes << ' ' << r.recoveries << ' '
+      << r.suppressed_deliveries << ' ' << r.churned_edges << ' '
+      << r.reachable_nodes << ' ' << r.informed_reachable << ' '
+      << run_outcome_name(r.outcome);
+  out.record = rec.str();
+  out.informed_at = std::move(r.informed_at);
+  out.transmissions_per_node = std::move(r.transmissions_per_node);
+  if (on.sink) {
+    std::ostringstream nd;
+    sink.to_ndjson(nd);
+    out.trace_ndjson = nd.str();
+  }
+  return out;
+}
+
+// Metrics, the span profiler and a trace sink, each on or off, leave the
+// run untouched; the trace does not depend on metrics either. Guards the
+// metrics-on serial pin of phase 1 and transmit events recorded in phase
+// 1's ordered merge (step_threads 4 at grain 1 shards both phases).
+TEST(SimTest, ObservationIsSideEffectFree) {
+  std::vector<graph> graphs;
+  graphs.push_back(make_complete_layered_uniform(32, 4));
+  rng gen(11);
+  graphs.push_back(make_gnp_connected(24, 6.0 / 24, gen));
+  for (const graph& g : graphs) {
+    const node_id r = g.node_count() - 1;
+    std::vector<std::unique_ptr<protocol>> protos;
+    for (const std::string& name : protocol_names()) {
+      const int arg = name == "selective" ? max_degree(g) + 1 : radius_from(g);
+      protos.push_back(make_protocol(name, r, arg));
+    }
+    protos.push_back(std::make_unique<dfs_known_protocol>(g));
+    for (const auto& proto : protos) {
+      for (const bool faulted : {false, true}) {
+        for (const int threads : {1, 4}) {
+          SCOPED_TRACE(proto->name() + " n=" + std::to_string(g.node_count()) +
+                       (faulted ? " amnesia+loss" : " fault-free") +
+                       " step_threads=" + std::to_string(threads));
+          const observed_run plain =
+              run_observed(g, *proto, faulted, threads, {});
+          std::string trace_without_metrics;
+          for (int mask = 1; mask < 8; ++mask) {
+            const observers on{(mask & 1) != 0, (mask & 2) != 0,
+                               (mask & 4) != 0};
+            const observed_run watched =
+                run_observed(g, *proto, faulted, threads, on);
+            EXPECT_EQ(watched.record, plain.record) << "observers " << mask;
+            EXPECT_EQ(watched.informed_at, plain.informed_at);
+            EXPECT_EQ(watched.transmissions_per_node,
+                      plain.transmissions_per_node);
+            if (!on.sink) continue;
+            EXPECT_FALSE(watched.trace_ndjson.empty());
+            if (trace_without_metrics.empty()) {
+              trace_without_metrics = watched.trace_ndjson;  // mask 4
+            } else {
+              EXPECT_TRUE(watched.trace_ndjson == trace_without_metrics)
+                  << "observers " << mask << ": the trace changed";
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

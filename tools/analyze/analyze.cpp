@@ -980,7 +980,6 @@ path src/util/              util
 path src/obs/               obs
 path src/graph/             graph
 path src/exec/thread_pool.  exec-base
-path src/exec/sharding.     exec-base
 path src/fault/             fault
 path src/fault/chaos.       chaos
 path src/sim/               sim

@@ -28,7 +28,8 @@
 //   P4 hot-path   no heap allocation, std::string construction, throw, or
 //                 iostream inside the annotated step-loop regions
 //                 (`// radiocast-analyze: hot-path-begin` … `hot-path-end`)
-//                 of sim/engine_core.h and sim/soa_engine.h.
+//                 of sim/soa_engine.h: the whole step loop, both
+//                 engines' phases and the shard fork/join helper.
 //                 Text inside RC_CHECK*/RC_REQUIRE* macro arguments is
 //                 exempt — the assertion-failure path is cold by
 //                 definition.
