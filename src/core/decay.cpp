@@ -1,6 +1,8 @@
 #include "core/decay.h"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "sim/soa_engine.h"
@@ -25,6 +27,24 @@ struct decay_soa_traits {
   std::int64_t step_offset = 0;
   std::int64_t phase_start = 0;
 
+  // Phase markers, bound by bind_metrics when the run records metrics:
+  // which decay phase is live, the distribution of drawn cutoffs
+  // (geometric, mean ≈ 2), and transmissions per stage within the phase
+  // (stage k transmits with effective probability 2⁻ᵏ across the informed
+  // population) — one counter per offset, decay.stage_tx{offset}.
+  obs::gauge_handle phase_gauge;
+  obs::histogram_handle cutoff_hist;
+  std::vector<obs::counter_handle> stage_tx;
+
+  void bind_metrics(obs::metrics_registry& reg) {
+    phase_gauge = {reg, "decay.phase"};
+    cutoff_hist = {reg, "decay.cutoff"};
+    stage_tx.clear();
+    for (std::int64_t k = 0; k < phase_len; ++k) {
+      stage_tx.emplace_back(reg, "decay.stage_tx", std::to_string(k));
+    }
+  }
+
   struct state {
     node_id label = 0;
     std::int64_t informed_step = -1;
@@ -47,6 +67,7 @@ struct decay_soa_traits {
     s->cutoff = 0;
   }
 
+  // radiocast-analyze: hot-path-begin -- per awake node per step.
   std::optional<message> on_step(state* s, const node_context& ctx) const {
     if (!s->informed) return std::nullopt;
     if (s->informed_step >= phase_start) {
@@ -57,20 +78,14 @@ struct decay_soa_traits {
       s->drawn_phase = step_phase;
       s->cutoff = 1;
       while (s->cutoff < phase_len && ctx.gen->flip()) ++s->cutoff;
-      if (ctx.metrics != nullptr) {
-        // Phase markers: which decay phase is live, and the distribution
-        // of drawn cutoffs (geometric, mean ≈ 2).
-        ctx.metrics->get_gauge("decay.phase").set(step_phase);
-        ctx.metrics->get_histogram("decay.cutoff").observe(s->cutoff);
+      if (phase_gauge) {
+        phase_gauge->set(step_phase);
+        cutoff_hist->observe(s->cutoff);
       }
     }
     if (step_offset < s->cutoff) {
-      if (ctx.metrics != nullptr) {
-        // Stage index within the phase: stage k transmits with effective
-        // probability 2⁻ᵏ across the informed population.
-        ctx.metrics->get_counter("decay.stage_tx",
-                                 std::to_string(step_offset))
-            .add();
+      if (!stage_tx.empty()) {
+        stage_tx[static_cast<std::size_t>(step_offset)]->add();
       }
       return message{kDecayPayload, s->label, 0, 0, 0};
     }
@@ -83,6 +98,7 @@ struct decay_soa_traits {
       s->informed_step = ctx.step;
     }
   }
+  // radiocast-analyze: hot-path-end
 
   bool informed(const state& s) const { return s.informed; }
   bool halted(const state&) const { return false; }

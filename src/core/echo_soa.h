@@ -48,6 +48,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 
@@ -181,6 +182,26 @@ struct soa_selection {
   std::uint8_t doubling_k = 0;
 };
 
+/// The selection's metrics, declared by the owning protocol's
+/// bind_metrics: probe restarts (`echo.recoveries`) and issued segments
+/// per probe phase (`echo.segments{full_probe|doubling|binary}`, indexed by
+/// soa_selection::phase). The sel_* functions take a pointer to it, null
+/// when the run records no metrics.
+struct echo_metrics {
+  obs::counter_handle recoveries;
+  std::array<obs::counter_handle, 3> segments;
+
+  void bind(obs::metrics_registry& reg) {
+    recoveries = {reg, "echo.recoveries"};
+    segments = {obs::counter_handle{reg, "echo.segments", "full_probe"},
+                obs::counter_handle{reg, "echo.segments", "doubling"},
+                obs::counter_handle{reg, "echo.segments", "binary"}};
+  }
+};
+
+// radiocast-analyze: hot-path-begin -- the selection runs inside the
+// token holder's on_step and on_receive.
+
 namespace soa_echo_detail {
 
 inline constexpr std::uint8_t kRunning = 0, kEmptySet = 1, kSelected = 2;
@@ -190,30 +211,22 @@ inline constexpr std::uint8_t kSendOrder = 0, kListen1 = 1, kListen2 = 2,
 inline constexpr int kOutcomeEmpty = 0, kOutcomeUnique = 1, kOutcomeMulti = 2;
 
 inline void sel_recover(soa_selection* s, node_id bound,
-                        obs::metrics_registry* metrics) {
-  if (metrics != nullptr) {
-    metrics->get_counter("echo.recoveries").add();
-  }
+                        const echo_metrics* metrics) {
+  if (metrics != nullptr) metrics->recoveries->add();
   s->phase = kFullProbe;
   s->doubling_k = 0;
   s->lo = 0;
   s->hi = bound;
 }
 
-inline void sel_note_segment(soa_selection* s,
-                             obs::metrics_registry* metrics) {
+inline void sel_note_segment(soa_selection* s, const echo_metrics* metrics) {
   ++s->segments;
-  if (metrics != nullptr) {
-    const char* tag = s->phase == kFullProbe ? "full_probe"
-                      : s->phase == kDoubling ? "doubling"
-                                              : "binary";
-    metrics->get_counter("echo.segments", tag).add();
-  }
+  if (metrics != nullptr) metrics->segments[s->phase]->add();
 }
 
 // Moves the probe on after one echo segment's outcome.
 inline void sel_advance(soa_selection* s, int outcome, node_id bound,
-                        obs::metrics_registry* metrics) {
+                        const echo_metrics* metrics) {
   switch (s->phase) {
     case kFullProbe:
       switch (outcome) {
@@ -293,12 +306,11 @@ inline void sel_init(soa_selection* s, node_id bound) {
 
 /// Advances one step: the order to transmit, or nullopt when listening
 /// (or when just finished — check sel_finished). `metrics`, when non-null,
-/// counts issued segments per phase under
-/// `echo.segments{full_probe|doubling|binary}`.
+/// counts issued segments and probe restarts (echo_metrics).
 inline std::optional<message> sel_on_step(soa_selection* s,
                                           const selection_kinds& kinds,
                                           node_id helper, node_id bound,
-                                          obs::metrics_registry* metrics) {
+                                          const echo_metrics* metrics) {
   using namespace soa_echo_detail;
   RC_REQUIRE(s->status == kRunning);
   switch (s->sub) {
@@ -348,6 +360,8 @@ inline void sel_on_receive(soa_selection* s, const selection_kinds& kinds,
     s->heard2 = msg.from;
   }
 }
+
+// radiocast-analyze: hot-path-end
 
 /// True once the selection is no longer running.
 inline bool sel_finished(const soa_selection& s) {

@@ -11,8 +11,8 @@ constexpr message_kind kRoundRobinPayload = 100;
 
 // The interleaved protocol's traits (sim/soa_engine.h). The odd-step
 // Select-and-Send stream reuses the shared sas_proto state machine
-// (core/select_and_send_soa.h) on its own step subsequence, with a null
-// metrics registry. begin_step hoists the round-robin slot and
+// (core/select_and_send_soa.h) on its own step subsequence, recording no
+// metrics (a null sas_metrics). begin_step hoists the round-robin slot and
 // virtual-substep arithmetic out of the per-node loop: they depend only on
 // the global step, not on the node.
 struct interleaved_soa_traits {

@@ -1,5 +1,6 @@
 #include "core/kp_randomized.h"
 
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -73,6 +74,23 @@ struct kp_soa_traits {
   bool universal_step = false;
   double p = 0.0;
 
+  // Phase markers, bound by bind_metrics when the run records metrics:
+  // which doubling block (log D guess) is live, how deep into its stage
+  // schedule we are, and where each transmit came from — kp.tx{kind},
+  // indexed by tx_kind.
+  enum tx_kind : std::size_t { kGeometric, kUniversal, kSourceStep, kKinds };
+  obs::gauge_handle block_gauge;
+  obs::gauge_handle stage_gauge;
+  std::array<obs::counter_handle, kKinds> tx;
+
+  void bind_metrics(obs::metrics_registry& reg) {
+    block_gauge = {reg, "kp.block_log_d"};
+    stage_gauge = {reg, "kp.stage"};
+    tx[kGeometric] = {reg, "kp.tx", "geometric"};
+    tx[kUniversal] = {reg, "kp.tx", "universal"};
+    tx[kSourceStep] = {reg, "kp.tx", "source_step"};
+  }
+
   struct state {
     node_id label = 0;
     std::int64_t informed_step = -1;
@@ -101,14 +119,13 @@ struct kp_soa_traits {
     }
   }
 
+  // radiocast-analyze: hot-path-begin -- per awake node per step.
   std::optional<message> on_step(state* s, const node_context& ctx) const {
     if (!s->informed) return std::nullopt;
     if (in_block == 0) {
       // "the source transmits" — the first step of each block.
       if (s->label == 0) {
-        if (ctx.metrics != nullptr) {
-          ctx.metrics->get_counter("kp.tx", "source_step").add();
-        }
+        if (tx[kSourceStep]) tx[kSourceStep]->add();
         return payload(s);
       }
       return std::nullopt;
@@ -118,15 +135,12 @@ struct kp_soa_traits {
     // transmits in stage i+1).
     if (s->informed_step >= stage_start_step) return std::nullopt;
     if (ctx.gen->bernoulli(p)) {
-      if (ctx.metrics != nullptr) {
-        // Phase markers: which doubling block (log D guess) is live, how
-        // deep into its stage schedule we are, and whether the transmit
-        // came from the geometric cascade or the Lemma 1 universal step.
-        ctx.metrics->get_gauge("kp.block_log_d").set(block->log_d);
-        ctx.metrics->get_gauge("kp.stage").set(stage_index);
-        ctx.metrics->get_counter(
-                        "kp.tx", universal_step ? "universal" : "geometric")
-            .add();
+      if (block_gauge) {
+        // The transmit came from the geometric cascade or the Lemma 1
+        // universal step.
+        block_gauge->set(block->log_d);
+        stage_gauge->set(stage_index);
+        tx[universal_step ? kUniversal : kGeometric]->add();
       }
       return payload(s);
     }
@@ -139,6 +153,7 @@ struct kp_soa_traits {
       s->informed_step = ctx.step;
     }
   }
+  // radiocast-analyze: hot-path-end
 
   bool informed(const state& s) const { return s.informed; }
   bool halted(const state&) const { return false; }

@@ -1,8 +1,8 @@
 // The Select-and-Send node state machine (core/select_and_send.h) as flat
 // POD state plus free functions, shared between two traits:
 // select_and_send's own and the interleaved(rr+sas) protocol's, which runs
-// this exact state machine on its odd-step subsequence with a null metrics
-// registry.
+// this exact state machine on its odd-step subsequence and records no
+// metrics (it passes a null sas_metrics).
 #pragma once
 
 #include <cstdint>
@@ -38,6 +38,29 @@ struct sas_soa_state {
   bool awaiting_presence = false;
 };
 
+/// Select-and-Send's metrics, declared by the owning traits'
+/// bind_metrics: DFS token hops and first visits, selections made and
+/// subtrees completed, segments per selection, and the selection's own
+/// echo_metrics. The functions below take a pointer to it, null when the
+/// run records no metrics.
+struct sas_metrics {
+  obs::counter_handle first_visits;
+  obs::counter_handle token_hops;
+  obs::counter_handle selections;
+  obs::counter_handle subtrees_completed;
+  obs::histogram_handle segments_per_selection;
+  echo_metrics echo;
+
+  void bind(obs::metrics_registry& reg) {
+    first_visits = {reg, "sas.first_visits"};
+    token_hops = {reg, "sas.token_hops"};
+    selections = {reg, "sas.selections"};
+    subtrees_completed = {reg, "sas.subtrees_completed"};
+    segments_per_selection = {reg, "sas.segments_per_selection"};
+    echo.bind(reg);
+  }
+};
+
 inline void sas_soa_init(sas_soa_state* s, node_id label) {
   *s = sas_soa_state{};
   s->label = label;
@@ -53,21 +76,20 @@ inline void sas_soa_init(sas_soa_state* s, node_id label) {
 /// bench measures.
 inline void sas_soa_restart(sas_soa_state* s) { sas_soa_init(s, s->label); }
 
+// radiocast-analyze: hot-path-begin -- everything below runs inside the
+// traits' on_step and on_receive.
+
 /// The token arrives at this node (a forward pass or a child's return).
 inline void sas_soa_take_token(sas_soa_state* s, node_id from, node_id r,
-                               obs::metrics_registry* metrics) {
+                               const sas_metrics* metrics) {
   if (!s->visited) {
     s->visited = true;
     s->parent = from;
     s->helper = from;
-    if (metrics != nullptr) {
-      metrics->get_counter("sas.first_visits").add();
-    }
+    if (metrics != nullptr) metrics->first_visits->add();
   }
-  if (metrics != nullptr) {
-    // Phase marker: every DFS token hop (forward passes and returns).
-    metrics->get_counter("sas.token_hops").add();
-  }
+  // Phase marker: every DFS token hop (forward passes and returns).
+  if (metrics != nullptr) metrics->token_hops->add();
   // (visited && token addressed to us) ⇒ a child returned the token:
   // resume the DFS with a fresh probe either way.
   s->driving = true;
@@ -99,29 +121,25 @@ inline std::optional<message> sas_soa_take_pending(sas_soa_state* s,
 /// token forward, or returns it to the parent and halts.
 inline std::optional<message> sas_soa_drive(sas_soa_state* s,
                                             std::int64_t step, node_id r,
-                                            obs::metrics_registry* metrics) {
-  std::optional<message> out =
-      sel_on_step(&s->sel, kKinds, s->helper, r, metrics);
+                                            const sas_metrics* metrics) {
+  std::optional<message> out = sel_on_step(
+      &s->sel, kKinds, s->helper, r, metrics != nullptr ? &metrics->echo
+                                                        : nullptr);
   (void)step;
   if (!sel_finished(s->sel)) return out;
   s->driving = false;
   if (metrics != nullptr) {
-    metrics->get_histogram("sas.segments_per_selection")
-        .observe(s->sel.segments);
+    metrics->segments_per_selection->observe(s->sel.segments);
   }
   if (sel_selected(s->sel)) {
     // Pass the token forward; we resume when it comes back.
     const node_id next = sel_selected_label(s->sel);
-    if (metrics != nullptr) {
-      metrics->get_counter("sas.selections").add();
-    }
+    if (metrics != nullptr) metrics->selections->add();
     return message{kToken, s->label, next, 0, 0};
   }
   // S = ∅: the subtree below us is complete.
   s->halted = true;
-  if (metrics != nullptr) {
-    metrics->get_counter("sas.subtrees_completed").add();
-  }
+  if (metrics != nullptr) metrics->subtrees_completed->add();
   if (s->label == 0) return std::nullopt;  // the traversal is over
   return message{kToken, s->label, s->parent, 0, 0};
 }
@@ -129,7 +147,7 @@ inline std::optional<message> sas_soa_drive(sas_soa_state* s,
 /// The node's action at `step`.
 inline std::optional<message> sas_soa_on_step(sas_soa_state* s,
                                               std::int64_t step, node_id r,
-                                              obs::metrics_registry* metrics) {
+                                              const sas_metrics* metrics) {
   // The source opens the algorithm.
   if (s->label == 0 && step == 0) {
     s->awaiting_presence = true;
@@ -144,7 +162,7 @@ inline std::optional<message> sas_soa_on_step(sas_soa_state* s,
 
 /// Delivery of `msg` at `step`.
 inline void sas_soa_on_receive(sas_soa_state* s, std::int64_t step, node_id r,
-                               obs::metrics_registry* metrics,
+                               const sas_metrics* metrics,
                                const message& msg) {
   s->informed = true;  // every message functionally carries the source word
   switch (msg.kind) {
@@ -183,5 +201,7 @@ inline void sas_soa_on_receive(sas_soa_state* s, std::int64_t step, node_id r,
       break;
   }
 }
+
+// radiocast-analyze: hot-path-end
 
 }  // namespace radiocast::sas_proto

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <bit>
+#include <type_traits>
 
 namespace radiocast::obs {
 
@@ -77,6 +78,21 @@ series& metrics_registry::get_series(const std::string& name,
                                      const std::string& label) {
   return series_[key(name, label)];
 }
+
+template <class Instrument>
+void handle<Instrument>::resolve() const {
+  if constexpr (std::is_same_v<Instrument, counter>) {
+    instrument_ = &registry_->get_counter(name_, label_);
+  } else if constexpr (std::is_same_v<Instrument, gauge>) {
+    instrument_ = &registry_->get_gauge(name_, label_);
+  } else {
+    instrument_ = &registry_->get_histogram(name_, label_);
+  }
+}
+
+template class handle<counter>;
+template class handle<gauge>;
+template class handle<histogram>;
 
 namespace {
 

@@ -8,8 +8,10 @@
 //      assertion in bench_simulator_throughput).
 //   2. Cheap when enabled. Lookups return stable references (the registry
 //      is node-based), so hot loops resolve a metric once and then touch a
-//      single int64. The simulator's per-step series append is an
-//      amortized O(1) vector push.
+//      single int64. Protocols hold `handle`s (below), bound to the run's
+//      registry once at setup and resolved on their first write; no step
+//      ever builds a key string or searches a map. The simulator's
+//      per-step series append is an amortized O(1) vector push.
 //   3. Everything exports. The whole registry serializes to one JSON
 //      object with deterministic (sorted) key order, so artifacts diff
 //      cleanly across runs.
@@ -23,7 +25,8 @@
 //
 // Labeled lookup: every accessor takes an optional label; (name, label)
 // pairs are distinct instruments, exported as `name{label}`. Protocols use
-// labels for phase markers, e.g. counter("kp.stage_tx", "2").
+// labels for phase markers, e.g. counter("decay.stage_tx", "2"), and hold
+// a labeled family as a small array of handles indexed by the label.
 //
 // Not thread-safe: one registry per run (the simulator is single-threaded).
 // Parallel trial execution (src/exec/parallel_trials.h) follows from this:
@@ -37,6 +40,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json.h"
@@ -138,10 +142,55 @@ class series {
   std::vector<std::int64_t> values_;
 };
 
+class metrics_registry;
+
+/// A (name, label) instrument of one registry, declared at setup and
+/// resolved on its first write: an instrument that is never written is
+/// never created, so declaring handles leaves the registry's export
+/// unchanged. A default-constructed handle is unbound (false) and must
+/// not be written; protocols test it, or the owning struct, once per
+/// write site. Writes through a const handle are allowed — the handle is
+/// a reference to the instrument, not the instrument — so const protocol
+/// hooks can record. Not thread-safe: resolution mutates the handle.
+template <class Instrument>
+class handle {
+ public:
+  handle() = default;
+  handle(metrics_registry& registry, std::string name,
+         std::string label = {})
+      : registry_(&registry),
+        name_(std::move(name)),
+        label_(std::move(label)) {}
+
+  explicit operator bool() const { return registry_ != nullptr; }
+
+  Instrument& operator*() const {
+    if (instrument_ == nullptr) resolve();
+    return *instrument_;
+  }
+  Instrument* operator->() const { return &**this; }
+
+ private:
+  void resolve() const;  // out of line: runs once per handle per run
+
+  metrics_registry* registry_ = nullptr;
+  std::string name_;
+  std::string label_;
+  mutable Instrument* instrument_ = nullptr;
+};
+
+extern template class handle<counter>;
+extern template class handle<gauge>;
+extern template class handle<histogram>;
+
+using counter_handle = handle<counter>;
+using gauge_handle = handle<gauge>;
+using histogram_handle = handle<histogram>;
+
 /// Owner of all instruments for one run (or one bench process).
 ///
 /// References returned by the accessors are stable for the registry's
-/// lifetime; callers on hot paths should resolve once and reuse.
+/// lifetime; callers on hot paths resolve once and reuse (see handle).
 class metrics_registry {
  public:
   counter& get_counter(const std::string& name,

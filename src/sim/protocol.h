@@ -44,6 +44,11 @@
 // engines AND make shard boundaries observable; verify_sleepers exists to
 // catch exactly that before the differential suite has to.
 //
+// METRICS: a protocol that records phase markers declares them in its
+// traits' optional bind_metrics hook, which the engine calls once per run
+// when the run has a registry (sim/soa_engine.h). The markers carry no
+// protocol semantics; they never feed decisions.
+//
 // AMNESIA RESTART (crash-recovery fault model, src/fault/recovery.h):
 // on_restart MUST return the node to exactly the state init produced for
 // its label, and MUST NOT draw from ctx.gen. After it the source (label 0)
@@ -60,10 +65,6 @@
 #include "sim/message.h"
 #include "util/rng.h"
 
-namespace radiocast::obs {
-class metrics_registry;
-}  // namespace radiocast::obs
-
 namespace radiocast {
 
 class graph;
@@ -75,13 +76,6 @@ struct node_context {
   std::int64_t step = 0;  ///< global synchronous step number (0-based)
   rng* gen = nullptr;     ///< per-node generator (unused by deterministic
                           ///< protocols; never null inside the simulator)
-  /// Observability hook: null unless the run enables metrics
-  /// (run_options::metrics). Protocols use it to tag phase markers —
-  /// decay stage draws, kp block/stage indices, DFS token hops, echo
-  /// rounds — and MUST guard every use with a null check so that
-  /// metrics-disabled runs stay free of instrumentation cost. The
-  /// registry carries no protocol semantics; it never feeds decisions.
-  obs::metrics_registry* metrics = nullptr;
 };
 
 /// A protocol's nodes stepped one at a time, outside the step engines —

@@ -62,8 +62,10 @@
 //
 // Metrics-enabled runs pin phase 1 serial: protocols write gauges from
 // on_step, and a gauge's last-write-wins value is only reproducible in
-// serial order (counters and histograms would merge fine; gauges cannot).
-// Phase 2 never calls protocol code, so it shards regardless.
+// serial order (counters and histograms would merge fine; gauges cannot);
+// the handles those writes go through also resolve lazily, which is only
+// safe on one thread. Phase 2 never calls protocol code, so it shards
+// regardless.
 //
 // Traits requirements (see core/decay.cpp for the worked pattern):
 //   struct state;                    // POD per-node protocol state, ≤ 64 B
@@ -75,6 +77,7 @@
 //   void on_restart(state*, const node_context&);
 // Optionally:
 //   void begin_step(std::int64_t step);  // per-step hoist, see below
+//   void bind_metrics(obs::metrics_registry&);  // metrics declaration
 // The traits object carries everything that is not per-node POD state:
 // configuration fixed at bind time (the label bound, schedules, families)
 // and variable-length per-node tables, indexed by label or by CSR slot
@@ -90,6 +93,13 @@
 // phase/offset divisions, block lookups, stage probabilities — is
 // identical for every node, so traits cache it here and on_step and
 // on_receive read the cache.
+//
+// bind_metrics is called once per run, at setup and only when the run has
+// a registry: the traits declare their instruments as obs::handle members
+// (a labeled family as a small array of handles indexed by the label) and
+// the hooks write through them, so no step looks a name up. Without a
+// registry the handles stay unbound and the hooks skip them with one
+// branch per write site (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <algorithm>
@@ -122,6 +132,12 @@ template <class T>
 struct traits_have_begin_step<
     T, std::void_t<decltype(std::declval<T&>().begin_step(std::int64_t{}))>>
     : std::true_type {};
+template <class T, class = void>
+struct traits_have_bind_metrics : std::false_type {};
+template <class T>
+struct traits_have_bind_metrics<
+    T, std::void_t<decltype(std::declval<T&>().bind_metrics(
+           std::declval<obs::metrics_registry&>()))>> : std::true_type {};
 }  // namespace detail
 
 template <class Traits>
@@ -178,9 +194,14 @@ class soa_run final {
           opts_.max_steps * 2, std::int64_t{1} << 20)));
     }
 
-    // Metrics: resolve every per-step series once, outside the loop. The
-    // disabled path (metrics == nullptr) must cost one branch per site.
+    // Metrics: resolve every per-step series once, outside the loop, and
+    // hand the registry to this run's copy of the traits, which declare
+    // their handles (resolved on first write). The disabled path
+    // (metrics == nullptr) must cost one branch per site.
     if (opts_.metrics != nullptr) {
+      if constexpr (detail::traits_have_bind_metrics<Traits>::value) {
+        traits_.bind_metrics(*opts_.metrics);
+      }
       sr_frontier_ = &opts_.metrics->get_series("sim.informed_frontier");
       sr_awake_ = &opts_.metrics->get_series("sim.awake");
       sr_tx_ = &opts_.metrics->get_series("sim.transmissions");
@@ -396,7 +417,7 @@ class soa_run final {
       --crashed_uninformed_;
     }
     if (r.amnesia) {
-      node_context ctx{step, &gens_[idx(v)], opts_.metrics};
+      node_context ctx{step, &gens_[idx(v)]};
       const rng before = gens_[idx(v)];
       traits_.on_restart(&states_[idx(v)], ctx);
       RC_CHECK_MSG(gens_[idx(v)] == before,
@@ -432,8 +453,8 @@ class soa_run final {
   // Phase-1 decide step: node v's transmit decision, stored in its
   // per-node slots. Touches only v's slots, so shards may run it
   // concurrently on disjoint nodes.
-  bool decide(node_id v, std::int64_t step, obs::metrics_registry* metrics) {
-    node_context ctx{step, &gens_[idx(v)], metrics};
+  bool decide(node_id v, std::int64_t step) {
+    node_context ctx{step, &gens_[idx(v)]};
     std::optional<message> decision = traits_.on_step(&states_[idx(v)], ctx);
     if (!decision) return false;
     decision->from = labels_[idx(v)];
@@ -453,9 +474,7 @@ class soa_run final {
     std::size_t count = 0;
     for (std::size_t i = lo; i < hi; ++i) {
       const node_id v = awake_list_[i];
-      // Metrics are off whenever phase 1 shards; the constant lets the
-      // protocol's instrumentation branches fold away.
-      if (decide(v, step, nullptr)) out[count++] = v;
+      if (decide(v, step)) out[count++] = v;
     }
     return count;
   }
@@ -503,7 +522,7 @@ class soa_run final {
     const int shards = opts_.metrics == nullptr ? shard_count(awake_sz) : 1;
     if (shards < 2) {
       for (const node_id v : awake_list_) {
-        if (decide(v, step, opts_.metrics)) record(v, step);
+        if (decide(v, step)) record(v, step);
       }
       return;
     }
@@ -531,7 +550,7 @@ class soa_run final {
       if (faults_ != nullptr && crashed_.test(idx(v))) {
         continue;  // injection site 2: crashed nodes never transmit
       }
-      if (!decide(v, step, opts_.metrics)) continue;
+      if (!decide(v, step)) continue;
       RC_CHECK_MSG(v == 0 || received_any_[idx(v)] != 0,
                    "protocol bug: node " + std::to_string(v) +
                        " transmitted spontaneously at step " +
@@ -559,7 +578,7 @@ class soa_run final {
         const auto v = static_cast<node_id>(w * util::bitset::kWordBits + b);
         if (v >= n_) break;
         const rng before = gens_[idx(v)];
-        node_context ctx{step, &gens_[idx(v)], opts_.metrics};
+        node_context ctx{step, &gens_[idx(v)]};
         const bool transmitted =
             traits_.on_step(&states_[idx(v)], ctx).has_value();
         RC_CHECK_MSG(!transmitted,
@@ -689,7 +708,7 @@ class soa_run final {
   void deliver(node_id v, node_id sender, std::int64_t step) {
     const message* delivered = &tx_msg_[idx(sender)];
     const bool was_informed = informed(v);
-    node_context ctx{step, &gens_[idx(v)], opts_.metrics};
+    node_context ctx{step, &gens_[idx(v)]};
     traits_.on_receive(&states_[idx(v)], ctx, *delivered);
     received_any_[idx(v)] = 1;
     // Wake on the mask, not received_any: the source is awake from setup

@@ -495,6 +495,28 @@ void step() {
   EXPECT_EQ(fired(rep, "hot-path"), 4);  // new, string, to_string, throw
 }
 
+TEST(AnalyzeTest, HotPathFiresOnRegistryLookups) {
+  // A name lookup per node per step is the metrics tax handles remove:
+  // each of the four accessors is flagged inside a region, not outside.
+  const report rep = run_one("src/core/foo.cpp", R"cpp(
+void bind_metrics(obs::metrics_registry& reg) {
+  tx = {reg, "foo.tx"};
+  auto& s = reg.get_series("foo.setup");
+}
+// radiocast-analyze: hot-path-begin
+std::optional<message> on_step(state* s, const node_context& ctx) const {
+  metrics->get_counter("foo.tx", "0").add();
+  metrics->get_gauge("foo.phase").set(1);
+  metrics->get_histogram("foo.cutoff").observe(2);
+  metrics->get_series("foo.per_step").push(3);
+  if (tx) tx->add();
+  return std::nullopt;
+}
+// radiocast-analyze: hot-path-end
+)cpp");
+  EXPECT_EQ(fired(rep, "hot-path"), 4);
+}
+
 TEST(AnalyzeTest, HotPathIgnoresCodeOutsideRegions) {
   const report rep = run_one("src/sim/foo.h", R"cpp(
 void setup() { auto* p = new int(3); }

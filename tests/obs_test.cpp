@@ -62,6 +62,30 @@ TEST(MetricsTest, ReferencesStayStableAcrossInsertions) {
   EXPECT_EQ(reg.get_counter("a").value(), 9);
 }
 
+TEST(MetricsTest, HandlesCreateTheirInstrumentOnFirstWrite) {
+  obs::metrics_registry reg;
+  const obs::counter_handle unbound;
+  EXPECT_FALSE(unbound);
+
+  const obs::counter_handle tx(reg, "tx", "3");
+  const obs::gauge_handle phase(reg, "phase");
+  const obs::histogram_handle cutoff(reg, "cutoff");
+  EXPECT_TRUE(tx);
+  // Declared but never written: nothing exists, nothing exports.
+  EXPECT_EQ(reg.find_counter("tx", "3"), nullptr);
+  EXPECT_EQ(reg.to_json().dump(), obs::metrics_registry().to_json().dump());
+
+  tx->add();
+  tx->add(4);
+  phase->set(2);
+  cutoff->observe(5);
+  EXPECT_EQ(reg.find_counter("tx", "3")->value(), 5);
+  EXPECT_EQ(reg.find_gauge("phase")->writes(), 1);
+  EXPECT_EQ(reg.find_histogram("cutoff")->count(), 1);
+  // The handle writes the registry's own instrument.
+  EXPECT_EQ(&*tx, &reg.get_counter("tx", "3"));
+}
+
 TEST(MetricsTest, HistogramBucketBoundaries) {
   // Bucket i holds values in (2^(i-1), 2^i]; bucket 0 holds v ≤ 1. The
   // boundary value 2^i must land in bucket i, and 2^i + 1 in bucket i+1.

@@ -781,6 +781,12 @@ constexpr std::array<const char*, 16> kHotBannedIdents = {
     "clog",       "printf",      "fprintf",     "sprintf",
     "snprintf",   "endl",        "stringstream", "ostringstream"};
 
+// Metrics-registry lookups build a key string and search a map; protocols
+// declare obs::handle members at setup instead (sim/soa_engine.h,
+// bind_metrics).
+constexpr std::array<const char*, 4> kHotRegistryLookups = {
+    "get_counter", "get_gauge", "get_histogram", "get_series"};
+
 void run_hot_path(file_ctx& ctx) {
   int region_begin = 0;  // 0 = outside; otherwise the begin line
   bool pending_rc = false;
@@ -852,8 +858,8 @@ void run_hot_path(file_ctx& ctx) {
       auto ban = [&](const std::string& what) {
         ctx.emit("hot-path", ln,
                  what + " inside a hot-path region — the step loop must "
-                        "not allocate, format, throw, or touch streams "
-                        "(docs/PERFORMANCE.md)");
+                        "not allocate, format, throw, touch streams, or "
+                        "look metrics up by name (docs/PERFORMANCE.md)");
       };
       if (tok == "new") {
         ban("heap allocation ('new')");
@@ -865,6 +871,13 @@ void run_hot_path(file_ctx& ctx) {
         for (const char* b : kHotBannedIdents) {
           if (tok == b) {
             ban("'" + tok + "'");
+            break;
+          }
+        }
+        for (const char* b : kHotRegistryLookups) {
+          if (tok == b) {
+            ban("metrics-registry lookup '" + tok +
+                "' (declare an obs::handle in bind_metrics)");
             break;
           }
         }

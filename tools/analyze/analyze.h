@@ -25,11 +25,14 @@
 //                 tolerance is mandatory), and declares any begin_step hook
 //                 with the exact signature the engine detects
 //                 (`begin_step(std::int64_t)`).
-//   P4 hot-path   no heap allocation, std::string construction, throw, or
-//                 iostream inside the annotated step-loop regions
-//                 (`// radiocast-analyze: hot-path-begin` … `hot-path-end`)
-//                 of sim/soa_engine.h: the whole step loop, both
-//                 engines' phases and the shard fork/join helper.
+//   P4 hot-path   no heap allocation, std::string construction, throw,
+//                 iostream, or metrics-registry lookup (get_counter,
+//                 get_gauge, get_histogram, get_series) inside the
+//                 annotated step-loop regions (`// radiocast-analyze:
+//                 hot-path-begin` … `hot-path-end`) of sim/soa_engine.h —
+//                 the whole step loop, both engines' phases and the shard
+//                 fork/join helper — and of the protocols' per-node hooks
+//                 (decay, kp, Select-and-Send, the echo selection).
 //                 Text inside RC_CHECK*/RC_REQUIRE* macro arguments is
 //                 exempt — the assertion-failure path is cold by
 //                 definition.
