@@ -4,6 +4,11 @@
 // seeded via splitmix64). Simulations split one child generator per node so
 // that results are reproducible bit-for-bit regardless of iteration order,
 // and so that adding instrumentation does not perturb protocol coin flips.
+//
+// The draw path (next, flip, uniform01, bernoulli) is defined here so it
+// inlines into the step loop: protocols and fault models draw per node per
+// step, and a call into another translation unit per draw showed up as a
+// measurable share of fault-injected runs.
 #pragma once
 
 #include <array>
@@ -29,7 +34,17 @@ class rng {
 
   /// Next raw 64-bit value.
   std::uint64_t operator()() noexcept { return next(); }
-  std::uint64_t next() noexcept;
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Derives an independent child generator. Deterministic: the same parent
   /// state yields the same sequence of children.
@@ -42,10 +57,17 @@ class rng {
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
   /// Uniform real in [0, 1).
-  double uniform01() noexcept;
+  double uniform01() noexcept {
+    // 53 random mantissa bits → uniform double in [0, 1).
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli trial: true with probability p (clamped to [0,1]).
-  bool bernoulli(double p) noexcept;
+  bool bernoulli(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform01() < p;
+  }
 
   /// Coin flip: true with probability 1/2.
   bool flip() noexcept { return (next() >> 63) != 0; }
@@ -56,6 +78,10 @@ class rng {
   friend bool operator==(const rng& a, const rng& b) noexcept = default;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_;
 };
 
