@@ -380,37 +380,90 @@ graph make_random_geometric(
     return dx * dx + dy * dy;
   };
 
-  graph g = graph::undirected(n);
+  // Pairs within range, found through a side×side cell grid whose cell
+  // width 1/side is strictly larger than the range, so every in-range pair
+  // lies in the same or an adjacent cell: O(n·deg) instead of all n²
+  // pairs. side is also capped near √n so a tiny range cannot blow up the
+  // grid. Each u adds its in-range v > u in ascending order — the order of
+  // the plain u < v double loop — so every adjacency row comes out
+  // identical.
   const double range2 = radio_range * radio_range;
-  for (node_id u = 0; u < n; ++u) {
-    for (node_id v = u + 1; v < n; ++v) {
-      if (dist2(u, v) <= range2) g.add_edge_unchecked(u, v);
+  const double cells_per_unit = std::ceil(1.0 / radio_range) - 1.0;
+  const auto side = static_cast<std::size_t>(std::clamp(
+      cells_per_unit, 1.0, std::ceil(std::sqrt(static_cast<double>(n)))));
+  auto cell_of = [side](double c) {
+    return std::min(side - 1,
+                    static_cast<std::size_t>(c * static_cast<double>(side)));
+  };
+  // Nodes bucketed by cell (counting sort; ascending ids within a cell).
+  std::vector<std::size_t> cell(points.size());
+  std::vector<std::size_t> cell_start(side * side + 1, 0);
+  for (std::size_t u = 0; u < points.size(); ++u) {
+    cell[u] = cell_of(points[u].second) * side + cell_of(points[u].first);
+    ++cell_start[cell[u] + 1];
+  }
+  for (std::size_t c = 0; c + 1 < cell_start.size(); ++c) {
+    cell_start[c + 1] += cell_start[c];
+  }
+  std::vector<node_id> by_cell(points.size());
+  {
+    std::vector<std::size_t> next(cell_start.begin(), cell_start.end() - 1);
+    for (node_id u = 0; u < n; ++u) {
+      by_cell[next[cell[static_cast<std::size_t>(u)]]++] = u;
     }
   }
 
-  // Bridge leftover components via their geometrically closest cross pair.
-  std::vector<node_id> component(static_cast<std::size_t>(n), -1);
+  graph g = graph::undirected(n);
+  std::vector<node_id> near;
+  for (node_id u = 0; u < n; ++u) {
+    const std::size_t cx = cell[static_cast<std::size_t>(u)] % side;
+    const std::size_t cy = cell[static_cast<std::size_t>(u)] / side;
+    near.clear();
+    for (std::size_t y = cy == 0 ? 0 : cy - 1; y <= std::min(side - 1, cy + 1);
+         ++y) {
+      for (std::size_t x = cx == 0 ? 0 : cx - 1;
+           x <= std::min(side - 1, cx + 1); ++x) {
+        const std::size_t c = y * side + x;
+        for (std::size_t i = cell_start[c]; i < cell_start[c + 1]; ++i) {
+          const node_id v = by_cell[i];
+          if (v > u && dist2(u, v) <= range2) near.push_back(v);
+        }
+      }
+    }
+    std::sort(near.begin(), near.end());
+    for (const node_id v : near) g.add_edge_unchecked(u, v);
+  }
+
+  // Bridge leftover components via their geometrically closest cross pair:
+  // the first (u in the source's component, v outside) pair in ascending
+  // (u, v) order with the least distance.
+  std::vector<std::uint8_t> reached(static_cast<std::size_t>(n));
+  std::vector<node_id> outside;
   for (;;) {
-    std::fill(component.begin(), component.end(), -1);
+    std::fill(reached.begin(), reached.end(), 0);
     std::vector<node_id> stack{0};
-    component[0] = 0;
+    reached[0] = 1;
     while (!stack.empty()) {
       const node_id u = stack.back();
       stack.pop_back();
       for (node_id v : g.out_neighbors(u)) {
-        if (component[static_cast<std::size_t>(v)] == -1) {
-          component[static_cast<std::size_t>(v)] = 0;
+        if (reached[static_cast<std::size_t>(v)] == 0) {
+          reached[static_cast<std::size_t>(v)] = 1;
           stack.push_back(v);
         }
       }
     }
+    outside.clear();
+    for (node_id v = 0; v < n; ++v) {
+      if (reached[static_cast<std::size_t>(v)] == 0) outside.push_back(v);
+    }
+    if (outside.empty()) break;  // connected
     node_id best_in = -1;
     node_id best_out = -1;
     double best = 0.0;
     for (node_id u = 0; u < n; ++u) {
-      if (component[static_cast<std::size_t>(u)] != 0) continue;
-      for (node_id v = 0; v < n; ++v) {
-        if (component[static_cast<std::size_t>(v)] == 0) continue;
+      if (reached[static_cast<std::size_t>(u)] == 0) continue;
+      for (const node_id v : outside) {
         const double d = dist2(u, v);
         if (best_in == -1 || d < best) {
           best = d;
@@ -419,7 +472,6 @@ graph make_random_geometric(
         }
       }
     }
-    if (best_in == -1) break;  // connected
     g.add_edge(best_in, best_out);
   }
   g.finalize();

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "graph/analysis.h"
 #include "graph/generators.h"
@@ -423,6 +426,113 @@ TEST(GeneratorTest, PermuteLabelsRejectsMovedSource) {
   EXPECT_THROW(permute_labels(g, std::vector<node_id>{0, 2, 2}),
                precondition_error);
 }
+
+// ---------- random geometric graphs ----------
+
+// The generator as first written: every one of the n² pairs, then bridging
+// by a scan over all (u, v) pairs. make_random_geometric must reproduce its
+// CSR exactly. `bridges` counts the bridging edges it added.
+graph reference_geometric(node_id n, double range, rng& gen, int* bridges) {
+  std::vector<std::pair<double, double>> points(static_cast<std::size_t>(n));
+  for (auto& p : points) p = {gen.uniform01(), gen.uniform01()};
+  std::size_t corner = 0;
+  auto corner_dist = [&](std::size_t i) {
+    return points[i].first * points[i].first +
+           points[i].second * points[i].second;
+  };
+  for (std::size_t i = 1; i < points.size(); ++i) {
+    if (corner_dist(i) < corner_dist(corner)) corner = i;
+  }
+  std::swap(points[0], points[corner]);
+  auto dist2 = [&](node_id a, node_id b) {
+    const double dx = points[static_cast<std::size_t>(a)].first -
+                      points[static_cast<std::size_t>(b)].first;
+    const double dy = points[static_cast<std::size_t>(a)].second -
+                      points[static_cast<std::size_t>(b)].second;
+    return dx * dx + dy * dy;
+  };
+  graph g = graph::undirected(n);
+  for (node_id u = 0; u < n; ++u) {
+    for (node_id v = u + 1; v < n; ++v) {
+      if (dist2(u, v) <= range * range) g.add_edge(u, v);
+    }
+  }
+  *bridges = 0;
+  for (;;) {
+    std::vector<bool> in(static_cast<std::size_t>(n), false);
+    std::vector<node_id> stack{0};
+    in[0] = true;
+    while (!stack.empty()) {
+      const node_id u = stack.back();
+      stack.pop_back();
+      for (const node_id v : g.out_neighbors(u)) {
+        if (!in[static_cast<std::size_t>(v)]) {
+          in[static_cast<std::size_t>(v)] = true;
+          stack.push_back(v);
+        }
+      }
+    }
+    node_id best_in = -1;
+    node_id best_out = -1;
+    double best = 0.0;
+    for (node_id u = 0; u < n; ++u) {
+      if (!in[static_cast<std::size_t>(u)]) continue;
+      for (node_id v = 0; v < n; ++v) {
+        if (in[static_cast<std::size_t>(v)]) continue;
+        const double d = dist2(u, v);
+        if (best_in == -1 || d < best) {
+          best = d;
+          best_in = u;
+          best_out = v;
+        }
+      }
+    }
+    if (best_in == -1) break;
+    g.add_edge(best_in, best_out);
+    ++*bridges;
+  }
+  g.finalize();
+  return g;
+}
+
+struct geometric_case {
+  node_id n;
+  double range;
+  std::uint64_t seed;
+};
+
+class RandomGeometricMatchesReference
+    : public ::testing::TestWithParam<geometric_case> {};
+
+TEST_P(RandomGeometricMatchesReference, SameCsrRowsAndDraws) {
+  const auto [n, range, seed] = GetParam();
+  rng gen(seed);
+  rng ref_gen(seed);
+  const graph g = make_random_geometric(n, range, gen);
+  int bridges = 0;
+  const graph ref = reference_geometric(n, range, ref_gen, &bridges);
+  EXPECT_TRUE(gen == ref_gen);  // same draws consumed
+  ASSERT_EQ(g.edge_count(), ref.edge_count());
+  for (node_id u = 0; u < n; ++u) {
+    const auto row = g.out_neighbors(u);
+    const auto ref_row = ref.out_neighbors(u);
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), ref_row.begin(),
+                           ref_row.end()))
+        << "row " << u;
+  }
+  if (range < 0.06) {
+    EXPECT_GT(bridges, 0);  // the sparse cases bridge
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, RandomGeometricMatchesReference,
+    ::testing::Values(geometric_case{200, 0.12, 1},
+                      geometric_case{300, 0.05, 2},    // several components
+                      geometric_case{120, 0.01, 3},    // mostly isolated
+                      geometric_case{64, 0.25, 4},     // 1/range integral
+                      geometric_case{40, 1.5, 5},      // one cell
+                      geometric_case{1000, 0.0279, 6}));
 
 }  // namespace
 }  // namespace radiocast
