@@ -203,10 +203,13 @@ build/tools/radiocast_inspect diff \
 # Perf-regression gate: stage 5's fresh smoke artifacts vs every committed
 # baseline (one per bench harness). Deterministic keys gate exactly:
 # steps.mean in both directions, values.steps to the step, timeout_rate
-# never up. The throughput bench's wall-clock-derived ratios get an
-# extra-wide tolerance because smoke-mode runs (≤2 trials) are noisy on
-# shared CI hosts — the bench separately RC_CHECKs soa > reference, so a
-# real engine regression still fails stage 5.
+# never up. The throughput bench's engine speedup gets an extra-wide
+# tolerance because smoke-mode runs (≤2 trials) are noisy on shared CI
+# hosts — the bench separately RC_CHECKs soa > reference, so a real engine
+# regression still fails stage 5. off_over_on (metrics-off time over
+# metrics-on time) is gated at 25%: with protocols writing through
+# pre-resolved handles it sits near 0.9, and the per-write registry
+# lookups it replaced read 0.60.
 for baseline in bench/baselines/BENCH_*.json; do
   name=$(basename "$baseline")
   if [ ! -f "$smoke_dir/$name" ]; then
@@ -215,7 +218,7 @@ for baseline in bench/baselines/BENCH_*.json; do
   fi
   if [ "$name" = BENCH_simulator_throughput.json ]; then
     build/tools/radiocast_inspect regress "$baseline" "$smoke_dir/$name" \
-      --tolerance speedup=75 --tolerance off_over_on=75
+      --tolerance speedup=75 --tolerance off_over_on=25
   else
     build/tools/radiocast_inspect regress "$baseline" "$smoke_dir/$name"
   fi
