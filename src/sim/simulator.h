@@ -70,9 +70,9 @@ struct run_options {
   /// size (`sim.awake`: source + nodes that have received at least one
   /// message, minus crashed), transmissions, deliveries, collisions, idle
   /// listeners — under
-  /// `sim.*`, and protocols receive the registry through node_context to
-  /// tag per-phase counters. Null ⇒ the step loop's only overhead is one
-  /// branch per instrumentation site.
+  /// `sim.*`, and the protocol's traits bind their per-phase handles to
+  /// it once per run (bind_metrics, sim/soa_engine.h). Null ⇒ the step
+  /// loop's only overhead is one branch per instrumentation site.
   obs::metrics_registry* metrics = nullptr;
   /// Optional wall-clock span collection for this run. When null, the
   /// process-wide obs::global_profiler() (also null by default) is used.
