@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "campaign/artifact.h"
 #include "core/runner.h"
 #include "exec/parallel_trials.h"
 #include "exec/thread_pool.h"
@@ -101,6 +102,15 @@ inline void parse_threads_flag(int argc, const char* const* argv) {
   }
 }
 
+/// Mean completion steps of a batch over its completed trials; NaN when
+/// every trial hit the cap (prints as "nan" in tables — the timeout_rate
+/// column/artifact carries the real story).
+inline double mean_steps(const trial_set& batch) {
+  const std::vector<double> steps = batch.completion_steps();
+  if (steps.empty()) return std::nan("");
+  return summarize(steps).mean;
+}
+
 /// Collects every measured case of one bench run and writes
 /// `BENCH_<name>.json` on destruction (schema "radiocast.bench.v1").
 /// Also installs a span profiler as the process-wide default for its
@@ -138,52 +148,9 @@ class reporter {
   /// can keep building their text tables from the same measurement.
   double add_case(const std::string& case_name, obs::json_value params,
                   const trial_set& batch) {
-    obs::json_value c = obs::json_value::object();
-    c.set("name", case_name);
-    c.set("params", std::move(params));
-
-    obs::json_value trials = obs::json_value::array();
-    for (const trial_record& t : batch.trials) {
-      obs::json_value one = obs::json_value::object();
-      one.set("seed", static_cast<std::int64_t>(t.seed));
-      one.set("completed", t.completed);
-      one.set("steps", t.steps);
-      one.set("informed_step", t.informed_step);
-      one.set("transmissions", t.transmissions);
-      one.set("collisions", t.collisions);
-      one.set("deliveries", t.deliveries);
-      one.set("wall_ms", t.wall_ms);
-      one.set("crashed_nodes", t.crashed_nodes);
-      one.set("suppressed_deliveries", t.suppressed_deliveries);
-      one.set("churned_edges", t.churned_edges);
-      one.set("recoveries", t.recoveries);
-      one.set("reachable_nodes", t.reachable_nodes);
-      one.set("informed_reachable", t.informed_reachable);
-      one.set("outcome", run_outcome_name(t.outcome));
-      trials.push_back(std::move(one));
-    }
-    c.set("trials", std::move(trials));
-    c.set("timeout_rate", batch.timeout_rate());
-    c.set("wall_ms", batch.total_wall_ms());
-
-    double mean_steps = std::nan("");
-    const std::vector<double> steps = batch.completion_steps();
-    obs::json_value stats = obs::json_value::object();
-    if (!steps.empty()) {
-      const summary s = summarize(steps);
-      mean_steps = s.mean;
-      stats.set("mean", s.mean);
-      stats.set("stddev", s.stddev);
-      stats.set("min", s.min);
-      stats.set("p50", s.median);
-      stats.set("p90", s.p90);
-      stats.set("p95", s.p95);
-      stats.set("p99", s.p99);
-      stats.set("max", s.max);
-    }
-    c.set("steps", std::move(stats));
-    cases_.push_back(std::move(c));
-    return mean_steps;
+    cases_.push_back(
+        campaign::trial_case_json(case_name, std::move(params), batch));
+    return mean_steps(batch);
   }
 
   /// Records a case with no simulator trials — analytic benches
@@ -276,15 +243,6 @@ inline trial_set run_case(reporter& rep, const std::string& case_name,
   rep.annotate("speedup",
                batch_ms > 0.0 ? batch.total_wall_ms() / batch_ms : 1.0);
   return batch;
-}
-
-/// Mean completion steps of a batch over its completed trials; NaN when
-/// every trial hit the cap (prints as "nan" in tables — the timeout_rate
-/// column/artifact carries the real story).
-inline double mean_steps(const trial_set& batch) {
-  const std::vector<double> steps = batch.completion_steps();
-  if (steps.empty()) return std::nan("");
-  return summarize(steps).mean;
 }
 
 /// Mean completion time of `proto` on `g` over seeded trials, without

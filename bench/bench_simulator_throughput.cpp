@@ -286,7 +286,10 @@ void require_identical(const run_result& a, const run_result& b,
 // d − 1 single-node layers with all the slack in the LAST layer, so the
 // awake set stays ≤ a handful of nodes until the wave reaches the fat
 // layer. Checks the two engines produce bit-identical results where the
-// speedup is measured, and asserts the soa engine actually wins.
+// speedup is measured, and asserts the soa engine actually wins. The
+// ratio itself is printed, not recorded: it moves with the oracle's
+// speed as much as with the soa loop's, so the artifact's gated soa
+// figure is steps_per_sec_soa.
 void check_engine_speedup(bench::reporter& rep) {
   const node_id n = bench::smoke() ? 2048 : 16384;
   const int d = bench::smoke() ? 128 : 512;
@@ -322,7 +325,6 @@ void check_engine_speedup(bench::reporter& rep) {
   values.set("soa_min_ms", soa.min_ms);
   values.set("steps_per_sec_reference", steps_per_sec_ref);
   values.set("steps_per_sec_soa", steps_per_sec_soa);
-  values.set("speedup", speedup);
   rep.add_analytic_case(
       "engine_speedup/decay/layered_fat/n=" + std::to_string(n) +
           "/d=" + std::to_string(d),

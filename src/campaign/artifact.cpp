@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/ndjson.h"
+#include "util/stats.h"
 
 namespace radiocast::campaign {
 
@@ -15,6 +16,28 @@ bool get_int(const obs::json_value& doc, const std::string& key,
   if (v == nullptr || !v->is_number()) return false;
   *out = v->as_int();
   return true;
+}
+
+/// The one writer of a trial record's fields: an entry of a
+/// radiocast.bench.v1 case's "trials" array.
+obs::json_value trial_json(const trial_record& t) {
+  obs::json_value doc = obs::json_value::object();
+  doc.set("seed", static_cast<std::int64_t>(t.seed));
+  doc.set("completed", t.completed);
+  doc.set("steps", t.steps);
+  doc.set("informed_step", t.informed_step);
+  doc.set("transmissions", t.transmissions);
+  doc.set("collisions", t.collisions);
+  doc.set("deliveries", t.deliveries);
+  doc.set("wall_ms", t.wall_ms);
+  doc.set("crashed_nodes", t.crashed_nodes);
+  doc.set("suppressed_deliveries", t.suppressed_deliveries);
+  doc.set("churned_edges", t.churned_edges);
+  doc.set("recoveries", t.recoveries);
+  doc.set("reachable_nodes", t.reachable_nodes);
+  doc.set("informed_reachable", t.informed_reachable);
+  doc.set("outcome", run_outcome_name(t.outcome));
+  return doc;
 }
 
 }  // namespace
@@ -35,24 +58,39 @@ obs::json_value header_record(const shard_header& h) {
 }
 
 obs::json_value trial_record_json(const trial_record& t) {
-  obs::json_value doc = obs::json_value::object();
+  obs::json_value doc = trial_json(t);
   doc.set("record", "trial");
-  doc.set("seed", static_cast<std::int64_t>(t.seed));
-  doc.set("completed", t.completed);
-  doc.set("steps", t.steps);
-  doc.set("informed_step", t.informed_step);
-  doc.set("transmissions", t.transmissions);
-  doc.set("collisions", t.collisions);
-  doc.set("deliveries", t.deliveries);
-  doc.set("crashed_nodes", t.crashed_nodes);
-  doc.set("suppressed_deliveries", t.suppressed_deliveries);
-  doc.set("churned_edges", t.churned_edges);
-  doc.set("recoveries", t.recoveries);
-  doc.set("reachable_nodes", t.reachable_nodes);
-  doc.set("informed_reachable", t.informed_reachable);
-  doc.set("outcome", run_outcome_name(t.outcome));
-  doc.set("wall_ms", t.wall_ms);
   return doc;
+}
+
+obs::json_value trial_case_json(const std::string& name,
+                                obs::json_value params,
+                                const trial_set& batch) {
+  obs::json_value c = obs::json_value::object();
+  c.set("name", name);
+  c.set("params", std::move(params));
+  obs::json_value trials = obs::json_value::array();
+  for (const trial_record& t : batch.trials) {
+    trials.push_back(trial_json(t));
+  }
+  c.set("trials", std::move(trials));
+  c.set("timeout_rate", batch.timeout_rate());
+  c.set("wall_ms", batch.total_wall_ms());
+  obs::json_value stats = obs::json_value::object();
+  const std::vector<double> steps = batch.completion_steps();
+  if (!steps.empty()) {
+    const summary s = summarize(steps);
+    stats.set("mean", s.mean);
+    stats.set("stddev", s.stddev);
+    stats.set("min", s.min);
+    stats.set("p50", s.median);
+    stats.set("p90", s.p90);
+    stats.set("p95", s.p95);
+    stats.set("p99", s.p99);
+    stats.set("max", s.max);
+  }
+  c.set("steps", std::move(stats));
+  return c;
 }
 
 obs::json_value footer_record(int shard, int trials_written) {

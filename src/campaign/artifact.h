@@ -8,10 +8,11 @@
 //   header  {"record":"header","schema":"radiocast.shard.v1",
 //            "campaign":…,"shard":id,"point":i,"case":…,"params":{…},
 //            "first_trial":f,"trials":k,"base_seed":s}
-//   trial   {"record":"trial","seed":…,"completed":…,"steps":…,
-//            "informed_step":…,"transmissions":…,"collisions":…,
-//            "deliveries":…,"crashed_nodes":…,"suppressed_deliveries":…,
-//            "churned_edges":…,"wall_ms":…}
+//   trial   {"seed":…,"completed":…,"steps":…,"informed_step":…,
+//            "transmissions":…,"collisions":…,"deliveries":…,"wall_ms":…,
+//            "crashed_nodes":…,"suppressed_deliveries":…,
+//            "churned_edges":…,"recoveries":…,"reachable_nodes":…,
+//            "informed_reachable":…,"outcome":…,"record":"trial"}
 //   footer  {"record":"footer","shard":id,"trials_written":k}
 //
 // The footer doubles as a completeness marker: a reader that never sees it
@@ -48,8 +49,17 @@ struct shard_header {
 // ----- record encoding (writer side) -----
 
 obs::json_value header_record(const shard_header& h);
+/// A shard trial line: the trial's fields exactly as trial_case_json
+/// writes them into a case's "trials" array, plus "record":"trial".
 obs::json_value trial_record_json(const trial_record& t);
 obs::json_value footer_record(int shard, int trials_written);
+
+/// One radiocast.bench.v1 case over a trial batch: name, params, trials,
+/// timeout_rate, wall_ms and the completion-steps summary. bench::reporter
+/// and merge_campaign both write their cases through it.
+obs::json_value trial_case_json(const std::string& name,
+                                obs::json_value params,
+                                const trial_set& batch);
 
 // ----- record decoding (reader side) -----
 

@@ -12,7 +12,6 @@
 #include "campaign/checkpoint.h"
 #include "exec/parallel_trials.h"
 #include "util/assert.h"
-#include "util/stats.h"
 
 namespace radiocast::campaign {
 
@@ -236,44 +235,7 @@ std::optional<obs::json_value> merge_campaign(const manifest& m,
                   std::to_string(m.trials_per_point));
     }
 
-    // One case per grid point, in bench::reporter's exact key layout.
-    obs::json_value c = obs::json_value::object();
-    c.set("name", gp.case_name());
-    c.set("params", gp.to_json());
-    obs::json_value trials = obs::json_value::array();
-    for (const trial_record& t : merged.trials) {
-      obs::json_value one = obs::json_value::object();
-      one.set("seed", static_cast<std::int64_t>(t.seed));
-      one.set("completed", t.completed);
-      one.set("steps", t.steps);
-      one.set("informed_step", t.informed_step);
-      one.set("transmissions", t.transmissions);
-      one.set("collisions", t.collisions);
-      one.set("deliveries", t.deliveries);
-      one.set("wall_ms", t.wall_ms);
-      one.set("crashed_nodes", t.crashed_nodes);
-      one.set("suppressed_deliveries", t.suppressed_deliveries);
-      one.set("churned_edges", t.churned_edges);
-      trials.push_back(std::move(one));
-    }
-    c.set("trials", std::move(trials));
-    c.set("timeout_rate", merged.timeout_rate());
-    c.set("wall_ms", merged.total_wall_ms());
-    obs::json_value stats = obs::json_value::object();
-    const std::vector<double> steps = merged.completion_steps();
-    if (!steps.empty()) {
-      const summary s = summarize(steps);
-      stats.set("mean", s.mean);
-      stats.set("stddev", s.stddev);
-      stats.set("min", s.min);
-      stats.set("p50", s.median);
-      stats.set("p90", s.p90);
-      stats.set("p95", s.p95);
-      stats.set("p99", s.p99);
-      stats.set("max", s.max);
-    }
-    c.set("steps", std::move(stats));
-    cases.push_back(std::move(c));
+    cases.push_back(trial_case_json(gp.case_name(), gp.to_json(), merged));
   }
 
   obs::json_value doc = obs::json_value::object();

@@ -113,7 +113,6 @@ trial_set parallel_run_trials(const graph& g, const protocol& proto,
       pool.submit([&g, &proto, &opts, &s, &mu, &shard_done, &first_error,
                    workers] {
         try {
-          if (opts.hooks.on_start) opts.hooks.on_start(s.info(opts.base_seed));
           trial_options topts;
           topts.trials = s.count;
           topts.base_seed =
@@ -126,7 +125,6 @@ trial_set parallel_run_trials(const graph& g, const protocol& proto,
           topts.profiler = &s.profiler;
           topts.faults = s.faults.get();
           topts.engine = opts.engine;
-          topts.verify_sleepers = opts.verify_sleepers;
           // With several trial workers, the RADIOCAST_THREADS default must
           // not also give every trial its own step pool on top of them.
           topts.step_threads =

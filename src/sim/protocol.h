@@ -24,12 +24,12 @@
 // nodes entirely (docs/PERFORMANCE.md): phase 1 iterates only the awake set
 // (source + every node that has received at least one message), which is
 // bit-identical to stepping all n nodes exactly because dormant on_step is
-// a no-op. The contract is enforced three ways: the reference engine's
-// spontaneous-transmission check, the run_options::verify_sleepers sweep
-// (calls dormant on_step and RC_CHECKs nullopt + untouched rng state), and
-// the reference-vs-soa differential suite (any dormant state mutation
-// diverges there). The lower-bound adversary also relies on it to keep
-// dormant candidate nodes fresh.
+// a no-op. The contract is enforced two ways: the reference engine steps
+// every live node and RC_CHECKs that a dormant one returns nullopt and
+// leaves its rng untouched, and the reference-vs-soa differential suite
+// catches any dormant state mutation (the engines diverge). The
+// lower-bound adversary also relies on it to keep dormant candidate nodes
+// fresh.
 //
 // POOLED PER-NODE RNG (the CONTRACT's second beneficiary): both engines
 // draw per-node randomness from one contiguous pool, `gens_` in
@@ -41,8 +41,9 @@
 // contiguous slice of the pool — per-shard RNG streams with no cross-shard
 // draws — while still producing the serial streams exactly. A protocol
 // that drew from ctx.gen while dormant would break pool identity across
-// engines AND make shard boundaries observable; verify_sleepers exists to
-// catch exactly that before the differential suite has to.
+// engines AND make shard boundaries observable; the reference engine's
+// dormant-draw check catches exactly that before the differential suite
+// has to.
 //
 // METRICS: a protocol that records phase markers declares them in its
 // traits' optional bind_metrics hook, which the engine calls once per run

@@ -100,12 +100,6 @@ struct run_options {
   /// Step-loop implementation. `soa` (default) skips dormant nodes;
   /// `reference` steps every node, serving as the differential oracle.
   step_engine engine = step_engine::soa;
-  /// Debug sweep (soa engine): every step, call on_step on every
-  /// dormant node anyway and RC_CHECK that it returns std::nullopt and
-  /// leaves its rng untouched — the dormant-node contract of
-  /// sim/protocol.h, verified rather than assumed. Restores O(n) per-step
-  /// cost; for tests, not production runs.
-  bool verify_sleepers = false;
   /// Intra-step worker threads (soa engine only; the reference engine
   /// ignores these fields): 0 = the RADIOCAST_THREADS environment default, 1 =
   /// serial, N ≥ 2 = shard each step's phase 1 (transmit decisions over
@@ -204,8 +198,6 @@ struct shard_info {
 /// campaign stream trial records to durable artifacts instead of folding
 /// every shard back through process memory (docs/CAMPAIGNS.md):
 ///
-///   * on_start fires from WORKER threads as shards begin, in no
-///     particular order — the callback must be thread-safe;
 ///   * on_done fires on the CALLING thread, strictly in seed order, as
 ///     each next-in-order shard finishes — a shard's records stream out
 ///     (and its memory is released when discard_records is set) while
@@ -217,13 +209,10 @@ struct shard_info {
 struct trial_set;  // defined below
 
 struct shard_hooks {
-  std::function<void(const shard_info&)> on_start;
   std::function<void(const shard_info&, const trial_set&)> on_done;
   bool discard_records = false;
 
-  bool any() const {
-    return on_start != nullptr || on_done != nullptr || discard_records;
-  }
+  bool any() const { return on_done != nullptr || discard_records; }
 };
 
 /// Options for a seeded trial batch.
@@ -260,8 +249,6 @@ struct trial_options {
   shard_hooks hooks;
   /// Step-loop implementation for every trial (see run_options::engine).
   step_engine engine = step_engine::soa;
-  /// Per-trial dormant-node contract sweep (see run_options::verify_sleepers).
-  bool verify_sleepers = false;
   /// Intra-step worker threads per trial (see run_options::step_threads;
   /// soa engine only). Independent of `threads`, which shards ACROSS
   /// trials: a campaign typically picks one or the other, not both. When

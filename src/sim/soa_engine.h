@@ -88,7 +88,7 @@
 // only READ the traits object. Every other hook runs serially (setup, the
 // reception commit, fault application) and may write the traits' tables.
 // begin_step is called ONCE per step, serially, after the step's fault
-// application and before phase 1 (and before the verify_sleepers sweep).
+// application and before phase 1.
 // Schedule arithmetic that depends only on the step number —
 // phase/offset divisions, block lookups, stage probabilities — is
 // identical for every node, so traits cache it here and on_step and
@@ -103,7 +103,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <memory>
 #include <optional>
 #include <string>
@@ -284,7 +283,6 @@ class soa_run final {
         phase_one_all(step);
       } else {
         phase_one(step);
-        if (opts_.verify_sleepers) sweep_sleepers(step);
       }
       result_.transmissions += static_cast<std::int64_t>(transmitters_.size());
 
@@ -543,55 +541,27 @@ class soa_run final {
     }
   }
 
-  // Phase 1 (reference): every live node, checking the
-  // no-spontaneous-transmission rule directly.
+  // Phase 1 (reference): every live node, checking the dormant-node
+  // contract of sim/protocol.h on each node that is neither the source nor
+  // has received a message: it must not transmit and must leave its
+  // generator untouched.
   void phase_one_all(std::int64_t step) {
     for (node_id v = 0; v < n_; ++v) {
       if (faults_ != nullptr && crashed_.test(idx(v))) {
         continue;  // injection site 2: crashed nodes never transmit
       }
-      if (!decide(v, step)) continue;
-      RC_CHECK_MSG(v == 0 || received_any_[idx(v)] != 0,
-                   "protocol bug: node " + std::to_string(v) +
-                       " transmitted spontaneously at step " +
-                       std::to_string(step));
-      record(v, step);
-    }
-  }
-
-  // Debug sweep (run_options::verify_sleepers): the dormant-node contract
-  // of sim/protocol.h, verified live. Every node the engine skipped gets an
-  // on_step call anyway; transmitting, or touching its generator, is a
-  // protocol bug. Word-at-a-time: a 64-node block that is entirely awake
-  // or crashed is skipped with one OR + compare.
-  void sweep_sleepers(std::int64_t step) {
-    for (std::size_t w = 0; w < awake_.word_count(); ++w) {
-      std::uint64_t skip = awake_.word(w);
-      if (faults_ != nullptr) skip |= crashed_.word(w);
-      if (w == 0) skip |= 1;  // the source (node 0) is never swept
-      // Tail bits past n_ are zero in both masks, so ~skip raises them;
-      // the v >= n_ break below retires them (bits ascend within a word).
-      std::uint64_t rest = ~skip;
-      while (rest != 0) {
-        const auto b = static_cast<unsigned>(std::countr_zero(rest));
-        rest &= rest - 1;
-        const auto v = static_cast<node_id>(w * util::bitset::kWordBits + b);
-        if (v >= n_) break;
-        const rng before = gens_[idx(v)];
-        node_context ctx{step, &gens_[idx(v)]};
-        const bool transmitted =
-            traits_.on_step(&states_[idx(v)], ctx).has_value();
-        RC_CHECK_MSG(!transmitted,
-                     "dormant-node contract violated: node " +
-                         std::to_string(v) +
-                         " transmitted without ever receiving (step " +
-                         std::to_string(step) + ")");
+      const bool dormant = v != 0 && received_any_[idx(v)] == 0;
+      const rng before = gens_[idx(v)];
+      const bool transmitted = decide(v, step);
+      if (dormant) {
+        RC_CHECK_MSG(!transmitted, "protocol bug: node " + std::to_string(v) +
+                                       " transmitted spontaneously at step " +
+                                       std::to_string(step));
         RC_CHECK_MSG(gens_[idx(v)] == before,
-                     "dormant-node contract violated: node " +
-                         std::to_string(v) +
-                         " drew randomness while dormant (step " +
-                         std::to_string(step) + ")");
+                     "protocol bug: dormant node " + std::to_string(v) +
+                         " drew randomness at step " + std::to_string(step));
       }
+      if (transmitted) record(v, step);
     }
   }
 
@@ -716,7 +686,7 @@ class soa_run final {
     // list. Wakes join the awake list at the end of the step (they were
     // not stepped in this step's phase 1 — same as the reference engine,
     // where a node's first post-reception on_step is next step's); the
-    // mask flips now so the sweep and the crash path see them awake.
+    // mask flips now so the crash path sees them awake.
     if (!awake_.test(idx(v))) {
       awake_.set(idx(v));
       newly_awake_.push_back(v);
@@ -1033,8 +1003,8 @@ class soa_run final {
   // awake ⇔ source or received_any (and alive).
   std::vector<std::uint8_t> received_any_;
 
-  // Awake set (see the constructor). Packed words so the sleeper sweep
-  // can retire 64 nodes per OR.
+  // Awake set (see the constructor): the mask for membership tests, the
+  // sorted list for phase 1.
   util::bitset awake_;
   std::vector<node_id> awake_list_;
   std::vector<node_id> newly_awake_;

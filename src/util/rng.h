@@ -73,9 +73,14 @@ class rng {
   bool flip() noexcept { return (next() >> 63) != 0; }
 
   /// State equality — two generators compare equal iff they will produce
-  /// identical streams. The simulator's sleeper sweep (run_options::
-  /// verify_sleepers) uses this to prove a dormant node drew no randomness.
-  friend bool operator==(const rng& a, const rng& b) noexcept = default;
+  /// identical streams. The reference step engine uses this to prove a
+  /// dormant node drew no randomness (sim/protocol.h), once per dormant
+  /// node per step, so the words are folded branch-free rather than
+  /// compared through std::array's memcmp.
+  friend bool operator==(const rng& a, const rng& b) noexcept {
+    return ((a.state_[0] ^ b.state_[0]) | (a.state_[1] ^ b.state_[1]) |
+            (a.state_[2] ^ b.state_[2]) | (a.state_[3] ^ b.state_[3])) == 0;
+  }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

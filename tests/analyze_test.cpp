@@ -1,11 +1,13 @@
-// Tests for the semantic static-analysis pass engine (tools/analyze/).
+// Tests for the static-analysis pass engine (tools/analyze/).
 //
-// Each pass P1–P4 is exercised on inline fixture files: a seeded
-// violation must fire, the live-tree idioms the passes were calibrated
-// against (wall_ms-family sinks, seeded rng streams, POD SoA traits,
-// RC_* assertion arguments) must NOT fire, suppressions must suppress
-// with a justification, and the radiocast.analysis.v1 JSON report must
-// round-trip through the project's own JSON parser (src/obs/json.h).
+// Each structural pass (layering, taint, contract, hot-path) is exercised
+// on inline fixture files (tests/lint_test.cpp covers the token rules): a
+// seeded violation must fire, the live-tree idioms the passes were
+// calibrated against (wall_ms-family sinks, seeded rng streams, POD SoA
+// traits, RC_* assertion arguments) must NOT fire, suppressions must
+// suppress with a justification, and the radiocast.analysis.v1 JSON
+// report must round-trip through the project's own JSON parser
+// (src/obs/json.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,8 +30,8 @@ using analyze::parse_manifest;
 using analyze::report;
 using analyze::source_file;
 
-report run(std::vector<source_file> files) {
-  return analyze_files(files, default_manifest());
+report run(const std::vector<source_file>& files) {
+  return analyze_files(files);
 }
 
 report run_one(const std::string& path, const std::string& text) {
@@ -105,7 +107,7 @@ TEST(AnalyzeTest, BuiltInManifestCoversTheTree) {
   EXPECT_EQ(m.layer_for("src/radiocast.h"), "api");
 }
 
-// ---------- P1: layering ----------
+// ---------- layering ----------
 
 TEST(AnalyzeTest, LayeringFiresOnUpwardInclude) {
   const report rep = run({
@@ -158,7 +160,7 @@ TEST(AnalyzeTest, LayeringFiresOnUnassignedFile) {
   EXPECT_EQ(fired(rep, "layering"), 1);
 }
 
-// ---------- P2: taint ----------
+// ---------- taint ----------
 
 TEST(AnalyzeTest, TaintFiresOnBranchingOnWallClock) {
   const report rep = run_one("src/sim/foo.cpp", R"cpp(
@@ -276,7 +278,7 @@ TEST(AnalyzeTest, TaintExemptsMemberRngAndTheRngImplItself) {
             0);
 }
 
-// ---------- P3: contract ----------
+// ---------- contract ----------
 
 const char* kGoodTraits = R"cpp(
 struct good_soa_traits {
@@ -480,7 +482,7 @@ TEST(AnalyzeTest, ContractNeedsNoLocalTraitsForABind) {
             0);
 }
 
-// ---------- P4: hot-path ----------
+// ---------- hot-path ----------
 
 TEST(AnalyzeTest, HotPathFiresOnBannedConstructsInsideRegion) {
   const report rep = run_one("src/sim/foo.h", R"cpp(
@@ -557,6 +559,25 @@ TEST(AnalyzeTest, HotPathFiresOnUnbalancedMarkers) {
             1);
 }
 
+// ---------- scoping ----------
+
+TEST(AnalyzeTest, TestsAndExamplesGetOnlyTheTokenRules) {
+  // An unseeded rng and an upward include are findings in library code;
+  // under tests/ and examples/ only the token rules run, and those files
+  // stay out of the include graph.
+  const std::string text =
+      "#include \"sim/high.h\"\nvoid f() { rng g; std::mt19937 m(1); }\n";
+  for (const std::string path : {"tests/foo_test.cpp", "examples/foo.cpp"}) {
+    const report rep = run({{path, text}, {"src/sim/high.h", "int x;\n"}});
+    EXPECT_EQ(fired(rep, "taint"), 0) << path;
+    EXPECT_EQ(fired(rep, "no-raw-random"), 1) << path;
+    EXPECT_EQ(rep.files_scanned, 2) << path;
+    EXPECT_EQ(rep.nodes, std::vector<std::string>{"src/sim/high.h"}) << path;
+    EXPECT_TRUE(rep.edges.empty()) << path;
+  }
+  EXPECT_EQ(fired(run_one("src/core/foo.cpp", text), "taint"), 1);
+}
+
 // ---------- suppressions + annotation hygiene ----------
 
 TEST(AnalyzeTest, AllowSuppressesWithJustification) {
@@ -619,7 +640,7 @@ TEST(AnalyzeTest, ReportRoundTripsThroughTheProjectJsonParser) {
   ASSERT_TRUE(doc.has_value()) << err;
   EXPECT_EQ(doc->find("schema")->as_string(), analyze::kSchema);
   EXPECT_EQ(doc->find("files_scanned")->as_int(), 2);
-  EXPECT_EQ(doc->find("passes")->items().size(), 4u);
+  EXPECT_EQ(doc->find("passes")->items().size(), 9u);
   // The DAG is emitted: 2 nodes with layers, 2 edges.
   const obs::json_value* graph = doc->find("include_graph");
   ASSERT_NE(graph, nullptr);

@@ -7,7 +7,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <sstream>
 #include <vector>
 
@@ -192,18 +191,12 @@ TEST(ShardHooksTest, OnDoneStreamsShardsInSeedOrder) {
   serial.base_seed = 3;
   const trial_set expected = run_trials(g, *proto, serial);
 
-  std::mutex started_mu;
-  int started = 0;
   std::vector<shard_info> done_order;
   std::vector<trial_record> streamed;
 
   trial_options opts = serial;
   opts.threads = 4;
   opts.shard_size = 3;  // 10 trials → shards of 3,3,3,1
-  opts.hooks.on_start = [&](const shard_info&) {
-    const std::lock_guard<std::mutex> lock(started_mu);
-    ++started;
-  };
   opts.hooks.on_done = [&](const shard_info& info, const trial_set& batch) {
     done_order.push_back(info);
     streamed.insert(streamed.end(), batch.trials.begin(),
@@ -211,7 +204,6 @@ TEST(ShardHooksTest, OnDoneStreamsShardsInSeedOrder) {
   };
   const trial_set folded = parallel_run_trials(g, *proto, opts);
 
-  EXPECT_EQ(started, 4);
   ASSERT_EQ(done_order.size(), 4u);
   for (std::size_t i = 0; i < done_order.size(); ++i) {
     EXPECT_EQ(done_order[i].index, static_cast<int>(i));
@@ -509,6 +501,20 @@ TEST(CampaignTest, MergedTrialsMatchAMonolithicBatch) {
       EXPECT_EQ(t.find("steps")->as_int(), expected.trials[i].steps);
       EXPECT_EQ(t.find("transmissions")->as_int(),
                 expected.trials[i].transmissions);
+      // The merged document carries the whole trial record, outcome and
+      // recovery accounting included, exactly as a bench artifact does.
+      for (const char* key :
+           {"recoveries", "reachable_nodes", "informed_reachable", "outcome"}) {
+        ASSERT_NE(t.find(key), nullptr) << key;
+      }
+      EXPECT_EQ(t.find("recoveries")->as_int(),
+                expected.trials[i].recoveries);
+      EXPECT_EQ(t.find("reachable_nodes")->as_int(),
+                expected.trials[i].reachable_nodes);
+      EXPECT_EQ(t.find("informed_reachable")->as_int(),
+                expected.trials[i].informed_reachable);
+      EXPECT_EQ(t.find("outcome")->as_string(),
+                run_outcome_name(expected.trials[i].outcome));
     }
   }
 }

@@ -448,8 +448,9 @@ TEST(DifferentialTest, TrialRecordsMatchTracedReruns) {
 // not statistical agreement: trial records, full metrics dumps, and
 // event-for-event trace NDJSON must all be byte-equal, across protocols,
 // graph families, fault models, the serial/parallel executors, and every
-// intra-step thread count. verify_sleepers rides along on every soa run,
-// so the dormant-node contract is checked live, not assumed.
+// intra-step thread count. The reference engine checks the dormant-node
+// contract on every node it steps, so the contract is checked live, not
+// assumed.
 // ---------------------------------------------------------------------------
 
 /// Everything observable from one run under a given engine.
@@ -480,7 +481,6 @@ engine_observation observe(const graph& g, const protocol& proto,
   topts.metrics = &metrics;
   topts.faults = model.get();
   topts.engine = engine;
-  topts.verify_sleepers = engine != step_engine::reference;
   topts.threads = threads;
   topts.step_threads = step_threads;
   topts.step_shard_grain = step_threads > 1 ? 1 : 0;
@@ -500,7 +500,6 @@ engine_observation observe(const graph& g, const protocol& proto,
       faults ? faults() : nullptr;
   ropts.faults = trace_model.get();
   ropts.engine = engine;
-  ropts.verify_sleepers = engine != step_engine::reference;
   ropts.step_threads = step_threads;
   ropts.step_shard_grain = step_threads > 1 ? 1 : 0;
   run_broadcast(g, proto, ropts);

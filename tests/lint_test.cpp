@@ -1,37 +1,43 @@
-// Tests for the determinism lint rule engine (tools/lint/).
+// Tests for the token rules of the static-analysis engine
+// (tools/analyze/): no-raw-random, wall-clock, unordered-iter, check-msg
+// and iostream, plus the lexer corner cases they rely on.
 //
-// Each rule R1–R5 is exercised on inline fixture snippets: a seeded
-// violation must fire, the path-based scoping must exempt the designated
-// directories, every suppression form must suppress (and be justified),
-// and the radiocast.lint.v1 JSON report must round-trip through the
-// project's own JSON parser (src/obs/json.h).
+// Each rule is exercised on inline fixture snippets: a seeded violation
+// must fire, the path-based scoping must exempt the designated
+// directories, and every suppression form must suppress (and be
+// justified). tests/analyze_test.cpp covers the structural passes and the
+// report.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
-#include "lint/lint.h"
-#include "obs/json.h"
+#include "analyze/analyze.h"
 
 namespace radiocast {
 namespace {
 
-using lint::finding;
-using lint::lint_file;
+using analyze::finding;
+
+/// Every finding of every pass on one file.
+std::vector<finding> lint_file(const std::string& path,
+                               const std::string& text) {
+  return analyze::analyze_files({{path, text}}).findings;
+}
 
 /// Unsuppressed findings for one rule.
 int fired(const std::vector<finding>& fs, const std::string& rule) {
   return static_cast<int>(
       std::count_if(fs.begin(), fs.end(), [&](const finding& f) {
-        return f.rule == rule && !f.suppressed;
+        return f.pass == rule && !f.suppressed;
       }));
 }
 
 int suppressed(const std::vector<finding>& fs, const std::string& rule) {
   return static_cast<int>(
       std::count_if(fs.begin(), fs.end(), [&](const finding& f) {
-        return f.rule == rule && f.suppressed;
+        return f.pass == rule && f.suppressed;
       }));
 }
 
@@ -130,7 +136,7 @@ TEST(LintTest, R2CoversCampaignCodeExceptAnnotatedAllows) {
             1);
   EXPECT_EQ(fired(lint_file("src/campaign/checkpoint.cpp", R"cpp(
     const auto since_epoch =
-        // radiocast-lint: allow(wall-clock) -- checkpoint freshness
+        // radiocast-analyze: allow(wall-clock) -- checkpoint freshness
         // timestamp: display-only metadata, never reaches results
         std::chrono::system_clock::now().time_since_epoch();
   )cpp"),
@@ -261,7 +267,7 @@ TEST(LintTest, R5ScopedToLibraryCode) {
 
 TEST(LintTest, TrailingAllowSuppresses) {
   const auto fs = lint_file("src/core/foo.cpp", R"cpp(
-    std::unordered_set<int> seen;  // radiocast-lint: allow(unordered-iter) -- membership only
+    std::unordered_set<int> seen;  // radiocast-analyze: allow(unordered-iter) -- membership only
   )cpp");
   EXPECT_EQ(fired(fs, "unordered-iter"), 0);
   EXPECT_EQ(suppressed(fs, "unordered-iter"), 1);
@@ -271,7 +277,7 @@ TEST(LintTest, TrailingAllowSuppresses) {
 
 TEST(LintTest, PrecedingLineAllowSuppresses) {
   const auto fs = lint_file("src/core/foo.cpp", R"cpp(
-    // radiocast-lint: allow(unordered-iter) -- membership-only set; the
+    // radiocast-analyze: allow(unordered-iter) -- membership-only set; the
     // continuation of this justification spans comment lines
     std::unordered_set<int> seen;
   )cpp");
@@ -281,42 +287,34 @@ TEST(LintTest, PrecedingLineAllowSuppresses) {
 
 TEST(LintTest, AllowWithoutJustificationIsAFinding) {
   const auto fs = lint_file("src/core/foo.cpp", R"cpp(
-    std::unordered_set<int> seen;  // radiocast-lint: allow(unordered-iter)
+    std::unordered_set<int> seen;  // radiocast-analyze: allow(unordered-iter)
   )cpp");
   // The bare allow() is rejected, so it also fails to suppress.
-  EXPECT_EQ(fired(fs, "lint-annotation"), 1);
+  EXPECT_EQ(fired(fs, "analyze-annotation"), 1);
   EXPECT_EQ(fired(fs, "unordered-iter"), 1);
 }
 
 TEST(LintTest, AllowForUnknownRuleIsAFinding) {
   const auto fs = lint_file("src/core/foo.cpp", R"cpp(
-    // radiocast-lint: allow(made-up-rule) -- because
+    // radiocast-analyze: allow(made-up-rule) -- because
     std::unordered_set<int> seen;
   )cpp");
-  EXPECT_EQ(fired(fs, "lint-annotation"), 1);
+  EXPECT_EQ(fired(fs, "analyze-annotation"), 1);
   EXPECT_EQ(fired(fs, "unordered-iter"), 1);
 }
 
 TEST(LintTest, AllowForDifferentRuleDoesNotSuppress) {
   const auto fs = lint_file("src/core/foo.cpp", R"cpp(
-    auto t = std::chrono::steady_clock::now();  // radiocast-lint: allow(unordered-iter) -- wrong rule
+    auto t = std::chrono::steady_clock::now();  // radiocast-analyze: allow(unordered-iter) -- wrong rule
   )cpp");
   EXPECT_EQ(fired(fs, "wall-clock"), 1);
   // ...and the mismatched suppression is flagged as unused.
-  EXPECT_EQ(fired(fs, "lint-annotation"), 1);
-}
-
-TEST(LintTest, UnusedAllowIsAFinding) {
-  const auto fs = lint_file("src/core/foo.cpp", R"cpp(
-    // radiocast-lint: allow(wall-clock) -- stale justification
-    int x = 1;
-  )cpp");
-  EXPECT_EQ(fired(fs, "lint-annotation"), 1);
+  EXPECT_EQ(fired(fs, "analyze-annotation"), 1);
 }
 
 TEST(LintTest, ProseMentioningTheMarkerIsNotAnAnnotation) {
   const auto fs = lint_file("src/core/foo.cpp", R"cpp(
-    // See the radiocast-lint docs for the allow() syntax.
+    // See the radiocast-analyze docs for the allow() syntax.
     int x = 1;
   )cpp");
   EXPECT_TRUE(fs.empty());
@@ -356,7 +354,7 @@ TEST(LintTest, FindingCarriesLineAndSnippet) {
   const auto fs = lint_file("src/core/foo.cpp",
                             "int a;\nint b = rand();\nint c;\n");
   ASSERT_EQ(fs.size(), 1u);
-  EXPECT_EQ(fs[0].rule, "no-raw-random");
+  EXPECT_EQ(fs[0].pass, "no-raw-random");
   EXPECT_EQ(fs[0].line, 2);
   EXPECT_EQ(fs[0].snippet, "int b = rand();");
   EXPECT_EQ(fs[0].path, "src/core/foo.cpp");
@@ -364,70 +362,16 @@ TEST(LintTest, FindingCarriesLineAndSnippet) {
 
 // ---------- every rule is documented ----------
 
-TEST(LintTest, RuleTableCoversR1ToR5) {
+TEST(LintTest, PassTableCoversTheTokenRules) {
   std::vector<std::string> ids;
-  for (const lint::rule_info& r : lint::rules()) ids.push_back(r.id);
-  const std::vector<std::string> expected = {
-      "no-raw-random", "wall-clock", "unordered-iter", "check-msg",
-      "iostream"};
-  EXPECT_EQ(ids, expected);
-  for (const std::string& id : expected) {
-    EXPECT_TRUE(lint::is_known_rule(id)) << id;
+  for (const analyze::pass_info& p : analyze::passes()) ids.push_back(p.id);
+  for (const std::string id :
+       {"no-raw-random", "wall-clock", "unordered-iter", "check-msg",
+        "iostream"}) {
+    EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end()) << id;
+    EXPECT_TRUE(analyze::is_known_pass(id)) << id;
   }
-  EXPECT_FALSE(lint::is_known_rule("made-up"));
-}
-
-// ---------- JSON report ----------
-
-TEST(LintTest, ReportRoundTripsThroughTheProjectJsonParser) {
-  lint::report rep;
-  rep.files_scanned = 3;
-  auto add = [&](const std::string& path, const std::string& text) {
-    auto fs = lint_file(path, text);
-    rep.findings.insert(rep.findings.end(), fs.begin(), fs.end());
-  };
-  add("src/core/foo.cpp", R"cpp(
-    int seed = rand();
-  )cpp");
-  add("src/core/bar.cpp", R"cpp(
-    std::unordered_set<int> seen;  // radiocast-lint: allow(unordered-iter) -- membership only
-  )cpp");
-  ASSERT_EQ(rep.unsuppressed_count(), 1);
-  ASSERT_EQ(rep.suppressed_count(), 1);
-
-  const std::string dumped = lint::report_to_json(rep).dump(2);
-  std::string error;
-  std::optional<obs::json_value> doc = obs::json_parse(dumped, &error);
-  ASSERT_TRUE(doc.has_value()) << error;
-
-  EXPECT_EQ(doc->find("schema")->as_string(), "radiocast.lint.v1");
-  EXPECT_EQ(doc->find("tool")->as_string(), "radiocast_lint");
-  EXPECT_EQ(doc->find("files_scanned")->as_int(), 3);
-  ASSERT_EQ(doc->find("findings")->items().size(), 1u);
-  ASSERT_EQ(doc->find("suppressed")->items().size(), 1u);
-  EXPECT_EQ(doc->find("rules")->items().size(), lint::rules().size());
-
-  const obs::json_value& f = doc->find("findings")->items()[0];
-  EXPECT_EQ(f.find("rule")->as_string(), "no-raw-random");
-  EXPECT_EQ(f.find("path")->as_string(), "src/core/foo.cpp");
-  EXPECT_EQ(f.find("line")->as_int(), 2);
-  EXPECT_EQ(f.find("snippet")->as_string(), "int seed = rand();");
-
-  const obs::json_value& s = doc->find("suppressed")->items()[0];
-  EXPECT_EQ(s.find("justification")->as_string(), "membership only");
-
-  EXPECT_EQ(doc->find_path("summary.findings")->as_int(), 1);
-  EXPECT_EQ(doc->find_path("summary.suppressed")->as_int(), 1);
-  EXPECT_FALSE(doc->find_path("summary.clean")->as_bool());
-}
-
-TEST(LintTest, CleanReportIsClean) {
-  lint::report rep;
-  rep.files_scanned = 1;
-  const std::string dumped = lint::report_to_json(rep).dump();
-  std::optional<obs::json_value> doc = obs::json_parse(dumped);
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_TRUE(doc->find_path("summary.clean")->as_bool());
+  EXPECT_FALSE(analyze::is_known_pass("made-up"));
 }
 
 }  // namespace

@@ -183,26 +183,69 @@ TEST(SimTest, SpontaneousTransmissionIsRejected) {
   EXPECT_THROW(run_broadcast(g, proto, opts), invariant_error);
 }
 
-TEST(SimTest, SleeperSweepCatchesSpontaneousTransmission) {
+TEST(SimTest, ReferenceEngineRejectsLateSpontaneousTransmission) {
   graph g = make_path(3);
   script_observer obs;
-  // Under the soa engine a dormant node is never stepped, so a script
-  // that violates the dormant-node contract goes unnoticed — unless
-  // verify_sleepers sweeps it.
-  scripted_protocol proto({{2, {0}}}, &obs);
-  run_options opts = capped(2);
-  opts.verify_sleepers = true;
+  // Step 0 wakes node 1 only; node 2 is still dormant when it transmits
+  // at step 1. The soa engine never steps a dormant node, so only the
+  // reference engine can see the violation.
+  scripted_protocol proto({{0, {0}}, {2, {1}}}, &obs);
+  run_options opts = capped_full(3);
+  opts.engine = step_engine::reference;
   EXPECT_THROW(run_broadcast(g, proto, opts), invariant_error);
 }
 
-TEST(SimTest, SleeperSweepAcceptsContractAbidingProtocol) {
+TEST(SimTest, ReferenceEngineAcceptsContractAbidingProtocol) {
   graph g = make_path(3);
   script_observer obs;
   scripted_protocol proto({{0, {0}}, {1, {1}}}, &obs);
   run_options opts = capped_full(4);
-  opts.verify_sleepers = true;
+  opts.engine = step_engine::reference;
   EXPECT_NO_THROW(run_broadcast(g, proto, opts));
   EXPECT_EQ(obs.received[2].size(), 1u);
+}
+
+// A protocol that draws from its generator on every step, informed or
+// not, and transmits only from the source at step 0: it never transmits
+// while dormant, but its dormant draws break the pooled-RNG identity
+// between engines (sim/protocol.h).
+struct dormant_drawer_soa_traits {
+  struct state {
+    node_id label = 0;
+    bool informed = false;
+  };
+  void init(state* s, node_id label) const {
+    s->label = label;
+    s->informed = label == 0;
+  }
+  std::optional<message> on_step(state* s, const node_context& ctx) const {
+    ctx.gen->next();
+    if (!s->informed || ctx.step != 0) return std::nullopt;
+    return message{1, s->label, ctx.step, 0, 0, 0};
+  }
+  void on_receive(state* s, const node_context&, const message&) const {
+    s->informed = true;
+  }
+  bool informed(const state& s) const { return s.informed; }
+  bool halted(const state&) const { return false; }
+  void on_restart(state* s, const node_context&) const { init(s, s->label); }
+};
+
+class dormant_drawer_protocol final : public protocol {
+ public:
+  std::string name() const override { return "dormant-drawer"; }
+  bool deterministic() const override { return false; }
+  std::unique_ptr<const bound_protocol> bind(node_id r) const override {
+    return bind_traits(dormant_drawer_soa_traits{}, r);
+  }
+};
+
+TEST(SimTest, ReferenceEngineRejectsDormantRandomDraw) {
+  graph g = make_path(3);
+  const dormant_drawer_protocol proto;
+  run_options opts = capped_full(3);
+  opts.engine = step_engine::reference;
+  EXPECT_THROW(run_broadcast(g, proto, opts), invariant_error);
 }
 
 TEST(SimTest, UnfinalizedGraphIsRejected) {

@@ -7,21 +7,9 @@
 #include <set>
 #include <utility>
 
-#include "lint/lexer.h"
+#include "analyze/lexer.h"
 
 namespace radiocast::analyze {
-
-using lint::allow_entry;
-using lint::allow_set;
-using lint::annotation_issue;
-using lint::collect_allows;
-using lint::is_digit;
-using lint::is_ident_char;
-using lint::next_nonspace_is_paren;
-using lint::scrub;
-using lint::scrubbed;
-using lint::starts_with;
-using lint::trim;
 
 namespace {
 
@@ -63,9 +51,8 @@ std::string lower(std::string s) {
   return s;
 }
 
-// The clock APIs whose values are wall-clock tainted at the source. Must
-// stay a superset of the lint's R2 table: the lint bans the CALL outside
-// timing sites; this pass tracks the VALUE inside them.
+// The clock APIs. The wall-clock rule bans the CALL outside the timing
+// sites; the taint pass tracks the VALUE inside them.
 constexpr std::array<const char*, 9> kClockTokens = {
     "system_clock", "steady_clock", "high_resolution_clock",
     "utc_clock",    "file_clock",   "gettimeofday",
@@ -177,7 +164,126 @@ std::string paren_span(const std::vector<std::string>& lines, int ln,
 }
 
 // ---------------------------------------------------------------------------
-// P1: include-graph layering gate
+// Token rules: no-raw-random, wall-clock, unordered-iter, check-msg,
+// iostream
+// ---------------------------------------------------------------------------
+
+constexpr std::array<const char*, 16> kRandomTokens = {
+    "rand",          "srand",         "drand48",
+    "lrand48",       "random_device", "mt19937",
+    "mt19937_64",    "minstd_rand",   "minstd_rand0",
+    "ranlux24_base", "ranlux48_base", "ranlux24",
+    "ranlux48",      "knuth_b",       "default_random_engine",
+    "random_shuffle"};
+
+// Banned only as calls: `time(...)`/`clock(...)`, not `time_point` etc.
+constexpr std::array<const char*, 2> kClockCallTokens = {"time", "clock"};
+
+constexpr std::array<const char*, 4> kUnorderedTokens = {
+    "unordered_map", "unordered_set", "unordered_multimap",
+    "unordered_multiset"};
+
+template <std::size_t N>
+bool in_table(const std::array<const char*, N>& table,
+              const std::string& tok) {
+  return std::find(table.begin(), table.end(), tok) != table.end();
+}
+
+/// Which token rules apply to a file, decided by its repo-relative path.
+struct rule_scope {
+  bool no_raw_random = false;
+  bool wall_clock = false;
+  bool unordered_iter = false;
+  bool check_msg = false;
+  bool iostream = false;
+};
+
+rule_scope scope_for(const std::string& path) {
+  rule_scope s;
+  const bool in_src = starts_with(path, "src/");
+  // Everywhere — src/, tests/, tools/, bench/, examples/ alike;
+  // util/rng.{h,cpp} is the one sanctioned implementation.
+  s.no_raw_random =
+      path != "src/util/rng.cpp" && path != "src/util/rng.h";
+  // bench/ harness timing and src/exec/ wall-clock accounting are the
+  // designated timing sites; anywhere else needs an annotation. In
+  // particular src/campaign/ stays IN scope — its one sanctioned read
+  // (checkpoint `updated_unix_ms`, display-only) must carry an annotated
+  // allow so the justification is auditable in the report.
+  s.wall_clock =
+      !starts_with(path, "bench/") && !starts_with(path, "src/exec/");
+  // Library code, tests, and tools — a test that iterates an unordered
+  // container can assert on hash order and pass on exactly one libstdc++
+  // build, and a tool can leak hash order into a report diff. bench/
+  // stays out of scope (tables are presentation, and sweeps never route
+  // results through hash containers today).
+  s.unordered_iter = in_src || starts_with(path, "tests/") ||
+                     starts_with(path, "tools/");
+  // Library code only.
+  s.iostream = in_src;
+  // The subsystems whose invariants encode paper-level claims.
+  s.check_msg =
+      starts_with(path, "src/adversary/") || starts_with(path, "src/exec/");
+  return s;
+}
+
+void run_token_rules(file_ctx& ctx) {
+  const rule_scope scope = scope_for(ctx.file->path);
+  for (int ln = 1; ln <= ctx.line_count(); ++ln) {
+    const std::string& code = ctx.code(ln);
+    const std::string stripped = trim(code);
+    if (stripped.empty()) continue;
+    if (stripped.front() == '#') {
+      // Preprocessor line: only the include-hygiene rule applies.
+      if (scope.iostream) {
+        std::string squeezed;
+        for (char c : stripped) {
+          if (c != ' ' && c != '\t') squeezed.push_back(c);
+        }
+        if (starts_with(squeezed, "#include<iostream>")) {
+          ctx.emit("iostream", ln,
+                   "#include <iostream> in library code — src/ must not own "
+                   "streams; report through return values or obs/");
+        }
+      }
+      continue;
+    }
+    for_each_token(code, [&](const std::string& tok, std::size_t end) {
+      if (scope.no_raw_random && in_table(kRandomTokens, tok)) {
+        ctx.emit("no-raw-random", ln,
+                 "direct use of '" + tok +
+                     "' — all randomness must flow through util/rng.h so "
+                     "runs replay bit-identically");
+      }
+      if (scope.wall_clock &&
+          (in_table(kClockTokens, tok) ||
+           (in_table(kClockCallTokens, tok) &&
+            next_nonspace_is_paren(code, end)))) {
+        ctx.emit("wall-clock", ln,
+                 "wall-clock API '" + tok +
+                     "' outside bench/ and src/exec/ — wall time must never "
+                     "reach results");
+      }
+      if (scope.unordered_iter && in_table(kUnorderedTokens, tok)) {
+        ctx.emit("unordered-iter", ln,
+                 "'std::" + tok +
+                     "' in src/, tests/, or tools/ — iteration order can "
+                     "leak into results; use a sorted std::vector, or "
+                     "annotate why membership-only use is safe");
+      }
+      if (scope.check_msg && tok == "RC_CHECK" &&
+          next_nonspace_is_paren(code, end)) {
+        ctx.emit("check-msg", ln,
+                 "RC_CHECK without a message — use RC_CHECK_MSG so an "
+                 "adversary/exec invariant failure is actionable");
+      }
+      return true;
+    });
+  }
+}
+
+// ---------------------------------------------------------------------------
+// layering: include-graph gate
 // ---------------------------------------------------------------------------
 
 std::string dir_of(const std::string& path) {
@@ -202,22 +308,23 @@ std::string include_target(const std::string& code_with_strings) {
   return stripped.substr(open + 1, close - open - 1);
 }
 
-void run_layering(std::vector<file_ctx>& ctxs, const layer_manifest& manifest,
-                  report* rep) {
+void run_layering(const std::vector<file_ctx*>& ctxs, report* rep) {
+  const layer_manifest& manifest = default_manifest();
   // File set for include resolution.
   std::map<std::string, std::size_t> index;
   for (std::size_t i = 0; i < ctxs.size(); ++i) {
-    index[ctxs[i].file->path] = i;
+    index[ctxs[i]->file->path] = i;
   }
 
   // Unassigned files: the manifest must cover the scanned tree, or the
   // gate silently stops gating whatever a refactor moves out from under
   // it.
-  for (file_ctx& ctx : ctxs) {
-    if (manifest.layer_for(ctx.file->path).empty()) {
-      ctx.emit("layering", 1,
-               "file is not covered by the layer manifest — add a `path` "
-               "assignment to tools/analyze/layers.manifest");
+  for (file_ctx* ctx : ctxs) {
+    if (manifest.layer_for(ctx->file->path).empty()) {
+      ctx->emit("layering", 1,
+                "file is not covered by the layer manifest — add a `path` "
+                "assignment to default_manifest() in "
+                "tools/analyze/analyze.cpp");
     }
   }
 
@@ -228,7 +335,7 @@ void run_layering(std::vector<file_ctx>& ctxs, const layer_manifest& manifest,
   };
   std::vector<std::vector<resolved_edge>> adj(ctxs.size());
   for (std::size_t fi = 0; fi < ctxs.size(); ++fi) {
-    file_ctx& ctx = ctxs[fi];
+    file_ctx& ctx = *ctxs[fi];
     const std::string dir = dir_of(ctx.file->path);
     for (int ln = 1; ln <= ctx.line_count(); ++ln) {
       const std::string inc = include_target(ctx.code_str(ln));
@@ -247,17 +354,17 @@ void run_layering(std::vector<file_ctx>& ctxs, const layer_manifest& manifest,
       }
       if (to == ctxs.size()) continue;  // external header
       adj[fi].push_back({to, ln});
-      rep->edges.push_back({ctx.file->path, ctxs[to].file->path, ln});
+      rep->edges.push_back({ctx.file->path, ctxs[to]->file->path, ln});
 
       const std::string from_layer = manifest.layer_for(ctx.file->path);
-      const std::string to_layer = manifest.layer_for(ctxs[to].file->path);
+      const std::string to_layer = manifest.layer_for(ctxs[to]->file->path);
       if (from_layer.empty() || to_layer.empty()) continue;  // reported above
       const int from_rank = manifest.rank(from_layer);
       const int to_rank = manifest.rank(to_layer);
       if (to_rank > from_rank) {
         ctx.emit("layering", ln,
                  "upward #include: " + ctx.file->path + " (layer '" +
-                     from_layer + "') includes " + ctxs[to].file->path +
+                     from_layer + "') includes " + ctxs[to]->file->path +
                      " (layer '" + to_layer +
                      "', higher) — dependencies must point down the layer "
                      "order");
@@ -291,11 +398,11 @@ void run_layering(std::vector<file_ctx>& ctxs, const layer_manifest& manifest,
           bool in_cycle = false;
           for (const std::size_t p : path_stack) {
             if (p == e.to) in_cycle = true;
-            if (in_cycle) cycle += ctxs[p].file->path + " -> ";
+            if (in_cycle) cycle += ctxs[p]->file->path + " -> ";
           }
-          cycle += ctxs[e.to].file->path;
-          ctxs[f.node].emit("layering", e.line,
-                            "#include cycle: " + cycle);
+          cycle += ctxs[e.to]->file->path;
+          ctxs[f.node]->emit("layering", e.line,
+                             "#include cycle: " + cycle);
         } else if (color[e.to] == kWhite) {
           color[e.to] = kGray;
           path_stack.push_back(e.to);
@@ -311,7 +418,7 @@ void run_layering(std::vector<file_ctx>& ctxs, const layer_manifest& manifest,
 }
 
 // ---------------------------------------------------------------------------
-// P2: determinism taint pass (wall-clock flow + rng provenance)
+// taint: wall-clock flow and rng provenance
 // ---------------------------------------------------------------------------
 
 /// Scope-tracked set of tainted identifiers: entries die with their brace
@@ -646,7 +753,7 @@ void run_taint(file_ctx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// P3: engine/protocol contract checker
+// contract: protocol traits shape
 // ---------------------------------------------------------------------------
 
 /// 1-based line of the matching close brace for a block whose opening '{'
@@ -772,7 +879,7 @@ void run_contract(file_ctx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// P4: hot-path hygiene pass
+// hot-path: step-loop hygiene
 // ---------------------------------------------------------------------------
 
 constexpr std::array<const char*, 16> kHotBannedIdents = {
@@ -928,7 +1035,7 @@ layer_manifest parse_manifest(const std::string& text,
   int ln = 0;
   auto err = [&](const std::string& what) {
     if (errors != nullptr) {
-      errors->push_back("layers.manifest:" + std::to_string(ln) + ": " +
+      errors->push_back("manifest line " + std::to_string(ln) + ": " +
                         what);
     }
   };
@@ -970,24 +1077,26 @@ layer_manifest parse_manifest(const std::string& text,
 }
 
 const layer_manifest& default_manifest() {
-  // Keep in sync with tools/analyze/layers.manifest (the committed source
-  // of truth the CLI prefers; this copy covers synthetic-path tests and
-  // running outside a checkout).
-  static const layer_manifest m = [] {
-    return parse_manifest(R"(
-layer util
-layer obs
-layer graph
-layer exec-base
-layer fault
-layer sim
-layer adversary
-layer core
-layer chaos
-layer exec
-layer campaign
-layer api
-layer harness
+  // `layer` lines declare layers low -> high: a file may only #include
+  // files in its own layer or lower ones. `path` lines assign repo-relative
+  // prefixes to layers; the LONGEST matching prefix wins, so narrow
+  // carve-outs (src/exec/thread_pool.* as exec-base, src/fault/chaos.* as
+  // chaos) override their directory's default. tests/ and examples/ get
+  // only the token rules, so they need no assignment.
+  static const layer_manifest m = parse_manifest(R"(
+layer util       # assert, rng, bit utils — depends on nothing
+layer obs        # json, tracing, spans
+layer graph      # topologies, adjacency
+layer exec-base  # the thread pool (no sim knowledge)
+layer fault      # fault models and schedules
+layer sim        # the step engines and simulator
+layer adversary  # adaptive schedulers driving the sim
+layer core       # the paper's protocols
+layer chaos      # chaos fuzzing over sim+fault
+layer exec       # parallel trial execution on top of sim
+layer campaign   # sweeps, checkpoints, telemetry
+layer api        # the umbrella header
+layer harness    # bench and tools — may include anything
 
 path src/util/              util
 path src/obs/               obs
@@ -1002,12 +1111,9 @@ path src/exec/              exec
 path src/campaign/          campaign
 path src/radiocast.h        api
 path bench/                 harness
-path tests/                 harness
 path tools/                 harness
-path examples/              harness
 )",
-                          nullptr);
-  }();
+                                                 nullptr);
   return m;
 }
 
@@ -1017,6 +1123,20 @@ path examples/              harness
 
 const std::vector<pass_info>& passes() {
   static const std::vector<pass_info> kPasses = {
+      {"no-raw-random",
+       "all randomness flows through util/rng.h; std::rand, "
+       "std::random_device, and direct std::mt19937 are banned"},
+      {"wall-clock",
+       "no wall-clock APIs outside the designated timing sites in bench/ "
+       "and src/exec/; src/campaign/ checkpoint timestamps are permitted "
+       "only through an annotated allow"},
+      {"unordered-iter",
+       "no std::unordered_map/set use in src/, tests/, or tools/ without "
+       "an annotated justification; iteration order can leak into results"},
+      {"check-msg",
+       "RC_CHECK in src/adversary/ and src/exec/ must carry a message "
+       "(use RC_CHECK_MSG)"},
+      {"iostream", "no <iostream> in src/ library code"},
       {"layering",
        "the #include graph respects the declared layer manifest: no upward "
        "edges, no include cycles"},
@@ -1050,29 +1170,36 @@ int report::suppressed_count() const {
   return static_cast<int>(findings.size()) - unsuppressed_count();
 }
 
-report analyze_files(const std::vector<source_file>& files,
-                     const layer_manifest& manifest) {
+report analyze_files(const std::vector<source_file>& files) {
   report rep;
-  rep.manifest = manifest;
   rep.files_scanned = static_cast<int>(files.size());
 
   std::vector<file_ctx> ctxs(files.size());
+  // tests/ and examples/ get only the token rules.
+  std::vector<file_ctx*> structural;
   for (std::size_t i = 0; i < files.size(); ++i) {
     ctxs[i].file = &files[i];
     ctxs[i].src = scrub(files[i].text);
     ctxs[i].allows = collect_allows(ctxs[i].src, "radiocast-analyze",
                                     is_known_pass, is_region_directive);
-    rep.nodes.push_back(files[i].path);
+    if (!starts_with(files[i].path, "tests/") &&
+        !starts_with(files[i].path, "examples/")) {
+      structural.push_back(&ctxs[i]);
+      rep.nodes.push_back(files[i].path);
+    }
   }
 
-  run_layering(ctxs, manifest, &rep);
+  run_layering(structural, &rep);
+  for (file_ctx* ctx : structural) {
+    run_taint(*ctx);
+    run_contract(*ctx);
+    run_hot_path(*ctx);
+  }
   for (file_ctx& ctx : ctxs) {
-    run_taint(ctx);
-    run_contract(ctx);
-    run_hot_path(ctx);
+    run_token_rules(ctx);
 
     // Annotation hygiene: malformed annotations and stale allows are
-    // findings, exactly as in the lint.
+    // findings too.
     for (const annotation_issue& issue : ctx.allows.issues) {
       ctx.findings.push_back({"analyze-annotation", ctx.file->path,
                               issue.line, issue.message,
@@ -1124,7 +1251,8 @@ obs::json_value report_to_json(const report& rep) {
   doc.set("passes", std::move(pass_table));
 
   json_value layers = json_value::array();
-  for (const std::string& l : rep.manifest.order) layers.push_back(l);
+  const layer_manifest& manifest = default_manifest();
+  for (const std::string& l : manifest.order) layers.push_back(l);
   doc.set("layers", std::move(layers));
 
   json_value graph = json_value::object();
@@ -1132,7 +1260,7 @@ obs::json_value report_to_json(const report& rep) {
   for (const std::string& n : rep.nodes) {
     json_value node = json_value::object();
     node.set("path", n);
-    node.set("layer", rep.manifest.layer_for(n));
+    node.set("layer", manifest.layer_for(n));
     nodes.push_back(std::move(node));
   }
   graph.set("nodes", std::move(nodes));

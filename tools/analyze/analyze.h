@@ -1,52 +1,70 @@
-// radiocast_analyze — semantic static-analysis suite (pass engine).
+// radiocast_analyze — the project's static-analysis gate (pass engine).
 //
-// The determinism lint (tools/lint/) is a token tripwire: it bans names.
-// This engine reasons about STRUCTURE and FLOW on top of the same shared
-// lexer (tools/lint/lexer.h), enforcing four project contracts that token
-// matching cannot express (docs/STATIC_ANALYSIS.md):
+// The simulator's load-bearing guarantee is bit-identical results across
+// engines, thread counts and fault replays. That guarantee is easy to
+// break silently: one wall-clock seed, one direct std::mt19937, one
+// result-affecting iteration over an unordered container, or one upward
+// #include that tangles the layers. This engine enforces the project
+// rules statically (docs/STATIC_ANALYSIS.md) in nine passes over the
+// shared lexer (tools/analyze/lexer.h). Five are token rules that ban
+// names, each scoped by path prefix:
 //
-//   P1 layering   the #include graph respects the declared layer manifest
-//                 (util → obs → graph → … → campaign → harness): no upward
-//                 edges, no file-level include cycles. The full DAG is
-//                 emitted in the report.
-//   P2 taint      wall-clock reads may only flow into wall-clock-family
-//                 outputs. Values assigned from a clock API are tracked
-//                 through scope-local assignments; branching on them, or
-//                 sinking them into a non-wall-family telemetry key or
-//                 struct member, is a finding. Every `rng` construction
-//                 must derive from a seeded stream (util/rng.h): a numeric
-//                 literal, a *seed*/*salt* expression, mix_seed/splitmix64,
-//                 split(), or another generator.
-//   P3 contract   every protocol traits struct (`*_soa_traits`, the one
-//                 definition of a protocol, sim/soa_engine.h) keeps a
-//                 `struct state` that avoids owning/non-trivially-copyable
-//                 members, implements the full hook set (init, on_step,
-//                 on_receive, informed, halted, on_restart — restart
-//                 tolerance is mandatory), and declares any begin_step hook
-//                 with the exact signature the engine detects
-//                 (`begin_step(std::int64_t)`).
-//   P4 hot-path   no heap allocation, std::string construction, throw,
-//                 iostream, or metrics-registry lookup (get_counter,
-//                 get_gauge, get_histogram, get_series) inside the
-//                 annotated step-loop regions (`// radiocast-analyze:
-//                 hot-path-begin` … `hot-path-end`) of sim/soa_engine.h —
-//                 the whole step loop, both engines' phases and the shard
-//                 fork/join helper — and of the protocols' per-node hooks
-//                 (decay, kp, Select-and-Send, the echo selection).
-//                 Text inside RC_CHECK*/RC_REQUIRE* macro arguments is
-//                 exempt — the assertion-failure path is cold by
-//                 definition.
+//   no-raw-random   all randomness flows through util/rng.h
+//                   (everywhere: src/, tests/, tools/, bench/, examples/)
+//   wall-clock      no wall-clock APIs outside bench/ and src/exec/
+//                   (src/campaign/ checkpoint timestamps: annotated allow
+//                   only)
+//   unordered-iter  no std::unordered_{map,set} use in src/, tests/, or
+//                   tools/ without an annotated justification
+//   check-msg       RC_CHECK in src/adversary/ and src/exec/ must carry a
+//                   message (RC_CHECK_MSG)
+//   iostream        no <iostream> in src/ library code
+//
+// Four reason about structure and flow, over every scanned file outside
+// tests/ and examples/:
+//
+//   layering   the #include graph respects the declared layer manifest
+//              (util → obs → graph → … → campaign → harness): no upward
+//              edges, no file-level include cycles. The full DAG is
+//              emitted in the report.
+//   taint      wall-clock reads may only flow into wall-clock-family
+//              outputs. Values assigned from a clock API are tracked
+//              through scope-local assignments; branching on them, or
+//              sinking them into a non-wall-family telemetry key or
+//              struct member, is a finding. Every `rng` construction
+//              must derive from a seeded stream (util/rng.h): a numeric
+//              literal, a *seed*/*salt* expression, mix_seed/splitmix64,
+//              split(), or another generator.
+//   contract   every protocol traits struct (`*_soa_traits`, the one
+//              definition of a protocol, sim/soa_engine.h) keeps a
+//              `struct state` that avoids owning/non-trivially-copyable
+//              members, implements the full hook set (init, on_step,
+//              on_receive, informed, halted, on_restart — restart
+//              tolerance is mandatory), and declares any begin_step hook
+//              with the exact signature the engine detects
+//              (`begin_step(std::int64_t)`).
+//   hot-path   no heap allocation, std::string construction, throw,
+//              iostream, or metrics-registry lookup (get_counter,
+//              get_gauge, get_histogram, get_series) inside the annotated
+//              step-loop regions (`// radiocast-analyze: hot-path-begin`
+//              … `hot-path-end`) of sim/soa_engine.h — the whole step
+//              loop, both engines' phases and the shard fork/join helper
+//              — and of the protocols' per-node hooks (decay, kp,
+//              Select-and-Send, the echo selection). Text inside
+//              RC_CHECK*/RC_REQUIRE* macro arguments is exempt — the
+//              assertion-failure path is cold by definition.
 //
 // Findings are suppressed per line with
 //   // radiocast-analyze: allow(<pass>) -- <justification>
-// with the same grammar and annotation-linting as radiocast-lint allows
-// (mandatory justification; malformed, unknown, or stale annotations are
-// findings themselves, under the pseudo-pass "analyze-annotation").
+// either trailing the offending line or on the line directly above it.
+// The justification is mandatory; malformed, unknown, or stale
+// annotations are findings themselves, under the pseudo-pass
+// "analyze-annotation".
 //
-// Like the lint, the engine is dependency-free and text-based — a
-// tripwire, not a compiler — so scripts/ci.sh stage 0 can run it before
-// anything else compiles. Tests drive it with synthetic paths and inline
-// fixtures (tests/analyze_test.cpp).
+// The engine is dependency-free and text-based — a tripwire, not a
+// compiler — so scripts/ci.sh stage 0 can run it before anything else
+// compiles. Tests drive it with synthetic paths and inline fixtures
+// (tests/analyze_test.cpp, tests/lint_test.cpp for the token rules).
 #pragma once
 
 #include <string>
@@ -65,7 +83,8 @@ struct pass_info {
   const char* summary;  ///< one-line description
 };
 
-/// The four passes P1–P4, in order.
+/// The nine passes: the five token rules, then the four structural
+/// passes.
 const std::vector<pass_info>& passes();
 
 /// True iff `id` names a known pass (valid in allow() annotations).
@@ -84,9 +103,9 @@ struct finding {
 };
 
 /// The declared architecture: named layers in low→high order plus
-/// longest-prefix path→layer assignments. Parsed from
-/// tools/analyze/layers.manifest (format: `layer <name>` lines declare the
-/// order, `path <prefix> <name>` lines assign files; `#` comments).
+/// longest-prefix path→layer assignments (format: `layer <name>` lines
+/// declare the order, `path <prefix> <name>` lines assign files; `#`
+/// comments).
 struct layer_manifest {
   std::vector<std::string> order;  ///< layer names, lowest first
   struct assignment {
@@ -106,8 +125,8 @@ struct layer_manifest {
 layer_manifest parse_manifest(const std::string& text,
                               std::vector<std::string>* errors);
 
-/// The built-in manifest (identical to tools/analyze/layers.manifest, the
-/// committed source of truth the CLI prefers when present).
+/// The project's layer manifest, compiled in (tools/analyze/analyze.cpp):
+/// the one source of truth the layering pass checks against.
 const layer_manifest& default_manifest();
 
 /// One input file: repo-relative path with forward slashes, full text.
@@ -131,7 +150,6 @@ struct report {
   /// the JSON report: nodes are scanned files annotated with their layer.
   std::vector<std::string> nodes;
   std::vector<include_edge> edges;
-  layer_manifest manifest;
 
   int unsuppressed_count() const;
   int suppressed_count() const;
@@ -139,9 +157,8 @@ struct report {
 
 /// Runs every pass over `files` (all files at once — the layering pass is
 /// cross-file). Paths must be repo-relative with forward slashes; path
-/// prefixes decide per-pass scoping exactly as in the lint.
-report analyze_files(const std::vector<source_file>& files,
-                     const layer_manifest& manifest);
+/// prefixes decide which passes apply to a file.
+report analyze_files(const std::vector<source_file>& files);
 
 /// Serializes `rep` as a radiocast.analysis.v1 document.
 obs::json_value report_to_json(const report& rep);

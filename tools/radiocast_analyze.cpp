@@ -1,20 +1,17 @@
-// radiocast_analyze — semantic static-analysis CLI (passes in
-// tools/analyze/).
+// radiocast_analyze — static-analysis CLI (passes in tools/analyze/).
 //
-//   radiocast_analyze [--root DIR] [--json FILE] [--manifest FILE]
-//                     [--passes] [PATH...]
+//   radiocast_analyze [--root DIR] [--json FILE] [--passes] [PATH...]
 //
-// Scans PATH... (default: src tools bench, relative to --root, default
-// ".") for .h/.cpp files and runs the four semantic passes — layering,
-// taint, contract, hot-path (docs/STATIC_ANALYSIS.md). The layer manifest
-// is read from --manifest, else <root>/tools/analyze/layers.manifest, else
-// the built-in copy. Optionally writes a radiocast.analysis.v1 JSON report
-// that `radiocast_inspect validate` checks.
+// Scans PATH... (default: src bench tests tools examples, relative to
+// --root, default ".") for .h/.cpp files and runs the nine passes — the
+// token rules no-raw-random, wall-clock, unordered-iter, check-msg and
+// iostream, then layering, taint, contract and hot-path
+// (docs/STATIC_ANALYSIS.md). Optionally writes a radiocast.analysis.v1
+// JSON report that `radiocast_inspect validate` checks.
 //
 // Exit status: 0 clean, 1 unsuppressed findings, 2 usage or I/O error.
 //
-// scripts/ci.sh runs this as stage 0, next to radiocast_lint, before any
-// build stage.
+// scripts/ci.sh runs this as stage 0, before any build stage.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -46,23 +43,20 @@ bool analyzable(const fs::path& p) {
 
 int usage() {
   std::cerr << "usage: radiocast_analyze [--root DIR] [--json FILE]"
-               " [--manifest FILE] [--passes] [PATH...]\n"
-               "  PATH... default: src tools bench\n";
+               " [--passes] [PATH...]\n"
+               "  PATH... default: src bench tests tools examples\n";
   return 2;
 }
 
 int run(const std::vector<std::string>& args) {
   std::string root = ".";
   std::string json_out;
-  std::string manifest_path;
   std::vector<std::string> paths;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--root" && i + 1 < args.size()) {
       root = args[++i];
     } else if (args[i] == "--json" && i + 1 < args.size()) {
       json_out = args[++i];
-    } else if (args[i] == "--manifest" && i + 1 < args.size()) {
-      manifest_path = args[++i];
     } else if (args[i] == "--passes") {
       for (const analyze::pass_info& p : analyze::passes()) {
         std::cout << p.id << "\n    " << p.summary << "\n";
@@ -74,37 +68,9 @@ int run(const std::vector<std::string>& args) {
       paths.push_back(args[i]);
     }
   }
-  if (paths.empty()) paths = {"src", "tools", "bench"};
+  if (paths.empty()) paths = {"src", "bench", "tests", "tools", "examples"};
 
   const fs::path root_path(root);
-
-  // Resolve the manifest: explicit flag > committed file > built-in.
-  analyze::layer_manifest manifest;
-  {
-    std::string text;
-    std::string origin;
-    if (!manifest_path.empty()) {
-      if (!read_file(manifest_path, &text)) {
-        std::cerr << "radiocast_analyze: error: cannot read manifest "
-                  << manifest_path << "\n";
-        return 2;
-      }
-      origin = manifest_path;
-    } else if (read_file(root_path / "tools/analyze/layers.manifest",
-                         &text)) {
-      origin = "tools/analyze/layers.manifest";
-    }
-    if (origin.empty()) {
-      manifest = analyze::default_manifest();
-    } else {
-      std::vector<std::string> errors;
-      manifest = analyze::parse_manifest(text, &errors);
-      for (const std::string& e : errors) {
-        std::cerr << "radiocast_analyze: " << origin << ": " << e << "\n";
-      }
-      if (!errors.empty()) return 2;
-    }
-  }
 
   // Collect files, sorted by repo-relative path so diagnostics and the
   // JSON report are deterministic across filesystems.
@@ -148,7 +114,7 @@ int run(const std::vector<std::string>& args) {
     sources.push_back({rel, std::move(text)});
   }
 
-  const analyze::report rep = analyze::analyze_files(sources, manifest);
+  const analyze::report rep = analyze::analyze_files(sources);
 
   for (const analyze::finding& f : rep.findings) {
     if (f.suppressed) continue;
